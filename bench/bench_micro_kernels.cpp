@@ -5,8 +5,10 @@
 // hardware.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <complex>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/cpu_dispatch.hpp"
@@ -23,13 +25,17 @@ namespace {
 
 using namespace lossyfft;
 
+// Each iteration transforms a fresh copy of the input (the copy is a few
+// percent of a transform): in place, repeated forward transforms overflow
+// to inf/NaN within a few hundred iterations and would time that instead.
 void BM_Fft1dForward(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   Fft1d<double> plan(n);
   Xoshiro256 rng(1);
-  std::vector<std::complex<double>> x(n);
-  fill_uniform_complex(rng, x);
+  std::vector<std::complex<double>> x0(n), x(n);
+  fill_uniform_complex(rng, x0);
   for (auto _ : state) {
+    std::copy(x0.begin(), x0.end(), x.begin());
     plan.transform(x.data(), FftDirection::kForward);
     benchmark::DoNotOptimize(x.data());
   }
@@ -38,22 +44,51 @@ void BM_Fft1dForward(benchmark::State& state) {
 }
 BENCHMARK(BM_Fft1dForward)->Arg(256)->Arg(1024)->Arg(4096)->Arg(1000);
 
+// Rows pinned to one kernel tier (arg 1: 0 = scalar, 1 = avx2, 2 =
+// avx512). Rows above the detected level are skipped (not silently renamed
+// or rerun at a lower tier) so a JSON recorded on a lesser host cannot
+// mislabel rows.
+bool enter_simd_row(benchmark::State& state, SimdLevel* prev) {
+  const auto want = static_cast<SimdLevel>(state.range(1));
+  if (want > detected_simd_level()) {
+    state.SkipWithError("level not supported by this build/host");
+    return false;
+  }
+  *prev = set_simd_level(want);
+  return true;
+}
+
+// Batched lines through each FFT lane tier (the label carries "<shape>
+// <level>"). Arg 0 picks the shape: 0 is 64 contiguous 1024-point lines,
+// 1 is one exchange-bound z-pencil stage, 1024 adjacent 64-point lines at
+// stride 1024. Iterations alternate forward and inverse, which keeps the
+// data finite.
 void BM_Fft1dBatched(benchmark::State& state) {
-  const std::size_t n = 1024, batch = 64;
+  SimdLevel prev;
+  if (!enter_simd_row(state, &prev)) return;
+  const bool pencil = state.range(0) == 1;
+  const std::size_t n = pencil ? 64 : 1024, batch = pencil ? 1024 : 64;
+  const std::ptrdiff_t stride = pencil ? 1024 : 1;
+  const std::ptrdiff_t line = pencil ? 1 : 1024;
   Fft1d<double> plan(n);
   Xoshiro256 rng(2);
   std::vector<std::complex<double>> x(n * batch);
   fill_uniform_complex(rng, x);
+  bool forward = true;
   for (auto _ : state) {
-    plan.transform_strided(x.data(), 1, batch,
-                           static_cast<std::ptrdiff_t>(n),
-                           FftDirection::kForward);
+    plan.transform_strided(
+        x.data(), stride, batch, line,
+        forward ? FftDirection::kForward : FftDirection::kInverse);
+    forward = !forward;
     benchmark::DoNotOptimize(x.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n * batch));
+  state.SetLabel(std::string(pencil ? "64-pt z-pencil " : "1024-pt lines ") +
+                 simd_level_name());
+  set_simd_level(prev);
 }
-BENCHMARK(BM_Fft1dBatched);
+BENCHMARK(BM_Fft1dBatched)->ArgsProduct({{0, 1}, {0, 1, 2}});
 
 std::shared_ptr<Codec> make_codec(int which) {
   switch (which) {
@@ -110,9 +145,7 @@ BENCHMARK(BM_Decompress)->DenseRange(0, 6);
 // bandwidth a slot decode actually sees — memory-bound kernels like the
 // fp32 cast converge toward the cache ceiling there), 2^20 streams from
 // L3/DRAM (full exchange-sized payloads). The label carries
-// "<codec> <level>" so recorded JSONs stay self-describing. Rows above
-// the detected level are skipped (not silently renamed or rerun at a
-// lower tier) so a JSON recorded on a lesser host cannot mislabel rows.
+// "<codec> <level>" so recorded JSONs stay self-describing.
 std::shared_ptr<Codec> make_dispatched_codec(int which) {
   switch (which) {
     case 0: return std::make_shared<CastFp32Codec>();
@@ -122,16 +155,6 @@ std::shared_ptr<Codec> make_dispatched_codec(int which) {
     case 4: return std::make_shared<ZfpxAccuracyCodec>(1e-6);
     default: return std::make_shared<SzqCodec>(1e-6);
   }
-}
-
-bool enter_simd_row(benchmark::State& state, SimdLevel* prev) {
-  const auto want = static_cast<SimdLevel>(state.range(1));
-  if (want > detected_simd_level()) {
-    state.SkipWithError("level not supported by this build/host");
-    return false;
-  }
-  *prev = set_simd_level(want);
-  return true;
 }
 
 void BM_CompressSimd(benchmark::State& state) {

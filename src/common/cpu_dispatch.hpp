@@ -1,9 +1,13 @@
-// One-time CPU feature dispatch for the SIMD codec kernels.
+// One-time CPU feature dispatch for the SIMD codec kernels and the 1-D FFT
+// lane width.
 //
 // The compress hot loops (zfpx bit-plane coder, bittrim pack/unpack, szq
 // index unpack, the casts) each exist three times: a scalar reference
 // build, an AVX2 build, and an AVX-512 build that must all produce
-// bit-identical streams. Which one runs is decided here, once, from cpuid
+// bit-identical streams. The batched 1-D FFT (fft/fft1d_lanes.hpp) runs
+// one line per lane: 1 at scalar, 4 doubles or 8 floats at avx2 and
+// avx512, with bitwise identical output at every level. Which tier runs
+// is decided here, once, from cpuid
 // (plus an OS-xsave check for the ZMM state) — overridable per process
 // with LOSSYFFT_SIMD={auto,avx512,avx2,scalar} and per test with
 // set_simd_level(). An override naming a level the host or build cannot

@@ -211,37 +211,14 @@ template <typename T>
 void Fft3d<T>::fft_pencil(int dir, FftDirection fdir, std::complex<T>* data) {
   const Box3& box = pencil_[static_cast<std::size_t>(dir)];
   if (box.empty()) return;
-  const auto sx = static_cast<std::size_t>(box.size[0]);
-  const auto sy = static_cast<std::size_t>(box.size[1]);
-  const auto sz = static_cast<std::size_t>(box.size[2]);
   const Fft1d<T>& plan = *fft_[static_cast<std::size_t>(dir)];
   // Shard the pencil lines across the pool (fft_workers), falling back to
   // serial when the whole stage is below the bytes-per-shard floor.
   const int shards = WorkerPool::effective_shards(
       options_.fft_workers,
       static_cast<std::size_t>(box.count()) * sizeof(std::complex<T>));
-  auto& ws = fft_ws_[static_cast<std::size_t>(dir)];
-  switch (dir) {
-    case 0:
-      // Rows are contiguous: one line per (y, z).
-      detail::run_fft_lines(plan, 1, sy * sz, fdir, shards, ws,
-                            [&](std::size_t l) { return data + l * sx; });
-      break;
-    case 1:
-      // Lines along y, stride sx: line l = (z, x) = (l / sx, l % sx).
-      detail::run_fft_lines(
-          plan, static_cast<std::ptrdiff_t>(sx), sx * sz, fdir, shards, ws,
-          [&](std::size_t l) { return data + (l / sx) * sx * sy + l % sx; });
-      break;
-    case 2:
-      // Lines along z: stride sx*sy, one line per (x, y).
-      detail::run_fft_lines(plan, static_cast<std::ptrdiff_t>(sx * sy),
-                            sx * sy, fdir, shards, ws,
-                            [&](std::size_t l) { return data + l; });
-      break;
-    default:
-      LFFT_ASSERT(false);
-  }
+  detail::run_fft_lines(plan, detail::pencil_lines(dir, box), data, fdir,
+                        shards, fft_ws_[static_cast<std::size_t>(dir)]);
 }
 
 template <typename T>
@@ -260,32 +237,23 @@ void Fft3d<T>::run_slab(std::span<const std::complex<T>> in,
   std::span<std::complex<T>> xs(work_b_.data(), nf * xext);
   fwd_reshape_[0]->execute_batch(in, zs, fields);
   if (!zslab.empty()) {
-    const auto sx = static_cast<std::size_t>(zslab.size[0]);
-    const auto sy = static_cast<std::size_t>(zslab.size[1]);
-    const auto sz = static_cast<std::size_t>(zslab.size[2]);
     const int shards = WorkerPool::effective_shards(
         options_.fft_workers, zext * sizeof(std::complex<T>));
     for (std::size_t f = 0; f < nf; ++f) {
       std::complex<T>* data = zs.data() + f * zext;
-      detail::run_fft_lines(*fft_[0], 1, sy * sz, dir, shards, fft_ws_[0],
-                            [&](std::size_t l) { return data + l * sx; });
-      detail::run_fft_lines(
-          *fft_[1], static_cast<std::ptrdiff_t>(sx), sx * sz, dir, shards,
-          fft_ws_[1],
-          [&](std::size_t l) { return data + (l / sx) * sx * sy + l % sx; });
+      detail::run_fft_lines(*fft_[0], detail::pencil_lines(0, zslab), data,
+                            dir, shards, fft_ws_[0]);
+      detail::run_fft_lines(*fft_[1], detail::pencil_lines(1, zslab), data,
+                            dir, shards, fft_ws_[1]);
     }
   }
   fwd_reshape_[1]->execute_batch(zs, xs, fields);
   if (!xslab.empty()) {
-    const auto sx = static_cast<std::size_t>(xslab.size[0]);
-    const auto sy = static_cast<std::size_t>(xslab.size[1]);
     const int shards = WorkerPool::effective_shards(
         options_.fft_workers, xext * sizeof(std::complex<T>));
     for (std::size_t f = 0; f < nf; ++f) {
-      std::complex<T>* data = xs.data() + f * xext;
-      detail::run_fft_lines(*fft_[2], static_cast<std::ptrdiff_t>(sx * sy),
-                            sx * sy, dir, shards, fft_ws_[2],
-                            [&](std::size_t l) { return data + l; });
+      detail::run_fft_lines(*fft_[2], detail::pencil_lines(2, xslab),
+                            xs.data() + f * xext, dir, shards, fft_ws_[2]);
     }
   }
   fwd_reshape_[2]->execute_batch(xs, out, fields);

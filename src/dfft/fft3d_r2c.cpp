@@ -199,31 +199,21 @@ void Fft3dR2c<T>::forward(std::span<const T> in,
                                  static_cast<std::size_t>(yp_.count()));
   fwd_[0]->execute(xp, ypv);
   if (!yp_.empty()) {
-    const auto sx = static_cast<std::size_t>(yp_.size[0]);
-    const auto sy = static_cast<std::size_t>(yp_.size[1]);
-    const auto sz = static_cast<std::size_t>(yp_.size[2]);
     const int shards = WorkerPool::effective_shards(
         options_.fft_workers,
         static_cast<std::size_t>(yp_.count()) * sizeof(std::complex<T>));
-    std::complex<T>* data = ypv.data();
-    detail::run_fft_lines(
-        *fft_y_, static_cast<std::ptrdiff_t>(sx), sx * sz,
-        FftDirection::kForward, shards, fft_y_ws_,
-        [&](std::size_t l) { return data + (l / sx) * sx * sy + l % sx; });
+    detail::run_fft_lines(*fft_y_, detail::pencil_lines(1, yp_), ypv.data(),
+                          FftDirection::kForward, shards, fft_y_ws_);
   }
   std::span<std::complex<T>> zpv(work_a_.data(),
                                  static_cast<std::size_t>(zp_.count()));
   fwd_[1]->execute(ypv, zpv);
   if (!zp_.empty()) {
-    const auto sx = static_cast<std::size_t>(zp_.size[0]);
-    const auto sy = static_cast<std::size_t>(zp_.size[1]);
     const int shards = WorkerPool::effective_shards(
         options_.fft_workers,
         static_cast<std::size_t>(zp_.count()) * sizeof(std::complex<T>));
-    std::complex<T>* data = zpv.data();
-    detail::run_fft_lines(*fft_z_, static_cast<std::ptrdiff_t>(sx * sy),
-                          sx * sy, FftDirection::kForward, shards, fft_z_ws_,
-                          [&](std::size_t l) { return data + l; });
+    detail::run_fft_lines(*fft_z_, detail::pencil_lines(2, zp_), zpv.data(),
+                          FftDirection::kForward, shards, fft_z_ws_);
   }
   fwd_[2]->execute(zpv, out);
   scale_spectral(out, /*forward=*/true);
@@ -240,31 +230,21 @@ void Fft3dR2c<T>::backward(std::span<const std::complex<T>> in,
                                  static_cast<std::size_t>(zp_.count()));
   bwd_[0]->execute(in, zpv);
   if (!zp_.empty()) {
-    const auto sx = static_cast<std::size_t>(zp_.size[0]);
-    const auto sy = static_cast<std::size_t>(zp_.size[1]);
     const int shards = WorkerPool::effective_shards(
         options_.fft_workers,
         static_cast<std::size_t>(zp_.count()) * sizeof(std::complex<T>));
-    std::complex<T>* data = zpv.data();
-    detail::run_fft_lines(*fft_z_, static_cast<std::ptrdiff_t>(sx * sy),
-                          sx * sy, FftDirection::kInverse, shards, fft_z_ws_,
-                          [&](std::size_t l) { return data + l; });
+    detail::run_fft_lines(*fft_z_, detail::pencil_lines(2, zp_), zpv.data(),
+                          FftDirection::kInverse, shards, fft_z_ws_);
   }
   std::span<std::complex<T>> ypv(work_b_.data(),
                                  static_cast<std::size_t>(yp_.count()));
   bwd_[1]->execute(zpv, ypv);
   if (!yp_.empty()) {
-    const auto sx = static_cast<std::size_t>(yp_.size[0]);
-    const auto sy = static_cast<std::size_t>(yp_.size[1]);
-    const auto sz = static_cast<std::size_t>(yp_.size[2]);
     const int shards = WorkerPool::effective_shards(
         options_.fft_workers,
         static_cast<std::size_t>(yp_.count()) * sizeof(std::complex<T>));
-    std::complex<T>* data = ypv.data();
-    detail::run_fft_lines(
-        *fft_y_, static_cast<std::ptrdiff_t>(sx), sx * sz,
-        FftDirection::kInverse, shards, fft_y_ws_,
-        [&](std::size_t l) { return data + (l / sx) * sx * sy + l % sx; });
+    detail::run_fft_lines(*fft_y_, detail::pencil_lines(1, yp_), ypv.data(),
+                          FftDirection::kInverse, shards, fft_y_ws_);
   }
   std::span<std::complex<T>> xp(work_a_.data(),
                                 static_cast<std::size_t>(xp_spec_.count()));

@@ -4,11 +4,13 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <complex>
 #include <cstring>
 #include <span>
 #include <vector>
 
 #include "common/worker_pool.hpp"
+#include "fft/fft1d.hpp"
 #include "minimpi/runtime.hpp"
 #include "minimpi/window.hpp"
 
@@ -64,6 +66,23 @@ CostConstants calibrate_host() {
     // transfers are memcpys at this bandwidth.
     k.net.intra_bw = k.copy_bw;
     k.net.inter_bw = k.copy_bw;
+  }
+
+  // --- Local FFT rate -------------------------------------------------------
+  // One 64-point stage shaped like a z-pencil stage (adjacent lines at the
+  // line-count stride), run through the active lane tier on this thread.
+  constexpr std::size_t kFftN = 64, kFftLines = 256;
+  const Fft1d<double> plan(kFftN);
+  std::vector<std::complex<double>> lines(kFftN * kFftLines);
+  const std::vector<double> re = probe_field(lines.size());
+  for (std::size_t i = 0; i < lines.size(); ++i) lines[i] = {re[i], -re[i]};
+  const double fft_s = best_of(3, [&] {
+    plan.transform_strided(lines.data(), kFftLines, kFftLines, 1,
+                           FftDirection::kForward);
+  });
+  if (fft_s > 0.0) {
+    k.fft_flops = 5.0 * kFftN * std::log2(static_cast<double>(kFftN)) *
+                  kFftLines / fft_s;
   }
 
   // --- Transport overheads: a nested 2-rank probe world -------------------

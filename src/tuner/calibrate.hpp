@@ -11,6 +11,8 @@
 //   * a nested 2-rank minimpi world exchanging small eager messages,
 //     issuing window puts, and running barriers -> per-message overheads,
 //     PSCW handshake cost, and the fence's per-hop latency;
+//   * one batched 64-point FFT stage through the active lane tier, on the
+//     calling thread -> fft_flops;
 //   * codec round-trips on representative data -> encode_bw / decode_bw
 //     per codec class (calibrate_codec, run per signature).
 //
@@ -26,8 +28,8 @@
 namespace lossyfft::tuner {
 
 /// Measure host-generic constants (copy bandwidth, message overheads,
-/// barrier latency, pool concurrency). Codec throughputs keep their
-/// defaults until calibrate_codec refines them.
+/// barrier latency, local FFT rate, pool concurrency). Codec throughputs
+/// keep their defaults until calibrate_codec refines them.
 CostConstants calibrate_host();
 
 /// Refine `k`'s encode/decode throughputs by timing round-trips of

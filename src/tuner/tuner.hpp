@@ -80,8 +80,10 @@ class Tuner {
   /// before the scan-then-fill zfpx decoder and the avx512 kernel tier:
   /// decode throughput moved enough to flip path decisions even for rows
   /// keyed under an unchanged level name. Version 5 added the coded
-  /// exchange's parity token to exchange rows.
-  static constexpr int kCacheVersion = 5;
+  /// exchange's parity token to exchange rows. Version 6 invalidated
+  /// decomposition rows priced with the fixed fft_flops default, now that
+  /// calibration measures the batched lane FFT.
+  static constexpr int kCacheVersion = 6;
 
  private:
   std::string key(const ExchangeSignature& sig) const;

@@ -17,6 +17,7 @@
 #include <set>
 #include <tuple>
 
+#include "common/cpu_dispatch.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/worker_pool.hpp"
@@ -361,22 +362,63 @@ TEST(ReshapeParallel, RawPackUnpackFanOutMatchesSerial) {
   expect_parallel_matches_serial(ExchangeBackend::kPairwise, nullptr, 4);
 }
 
+// ------------------------------------------------- fft3d: zero-alloc
+
+TEST(Fft3dHotPath, ForwardBackwardAllocateNothingInSteadyState) {
+  // 64^3 runs the power-of-two Stockham path; 17x12x11 runs Bluestein (17,
+  // 11) and the mixed-radix DIT (12). The plans' workspaces are sized at
+  // construction, so after one warm roundtrip nothing allocates.
+  for (const std::array<int, 3> n :
+       {std::array<int, 3>{64, 64, 64}, std::array<int, 3>{17, 12, 11}}) {
+    run_ranks(1, [&](Comm& comm) {
+      Fft3d<double> fft(comm, n);
+      const std::vector<double> raw = uniform_data(2 * fft.local_count(), 9);
+      std::vector<std::complex<double>> in(fft.local_count());
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        in[i] = {raw[2 * i], raw[2 * i + 1]};
+      }
+      std::vector<std::complex<double>> spec(fft.output_count());
+      std::vector<std::complex<double>> back(fft.local_count());
+      fft.forward(in, spec);
+      fft.backward(spec, back);
+      const std::uint64_t before = t_news;
+      fft.forward(in, spec);
+      fft.backward(spec, back);
+      EXPECT_EQ(t_news, before)
+          << n[0] << "x" << n[1] << "x" << n[2]
+          << ": Fft3d forward+backward allocated in steady state";
+    });
+  }
+}
+
 // ----------------------------------- FFT stages: parallel == serial
 
 TEST(Fft3dParallel, FftWorkersBitwiseIdenticalToSerial) {
   // 32^3 on one rank keeps each stage's payload (512 KiB) above the
   // 256 KiB bytes-per-shard floor, so fft_workers = 3 really fans out
-  // (to 2 shards) instead of degrading to serial.
+  // (to 2 shards) instead of degrading to serial. Every SIMD level the
+  // host runs (the FFT lane width) crossed with fft_workers {1, 3} must
+  // reproduce the scalar serial transform bit for bit.
   run_ranks(1, [](Comm& comm) {
     const std::array<int, 3> n = {32, 32, 32};
-    Fft3dOptions serial_o;
-    serial_o.fft_workers = 1;
-    Fft3dOptions par_o;
-    par_o.fft_workers = 3;
-    Fft3d<double> serial(comm, n, serial_o);
-    Fft3d<double> parallel(comm, n, par_o);
+    const auto transform = [&](SimdLevel level, int workers,
+                               const std::vector<std::complex<double>>& in,
+                               std::vector<std::complex<double>>& fwd,
+                               std::vector<std::complex<double>>& bwd) {
+      const SimdLevel prev = set_simd_level(level);
+      Fft3dOptions o;
+      o.fft_workers = workers;
+      Fft3d<double> fft(comm, n, o);
+      fwd.resize(fft.output_count());
+      bwd.resize(fft.local_count());
+      fft.forward(in, fwd);
+      fft.backward(fwd, bwd);
+      set_simd_level(prev);
+    };
 
-    const std::size_t count = serial.local_count();
+    const std::size_t count =
+        static_cast<std::size_t>(n[0]) * static_cast<std::size_t>(n[1]) *
+        static_cast<std::size_t>(n[2]);
     std::vector<std::complex<double>> in(count);
     Xoshiro256 rng(321);
     std::vector<double> raw(2 * count);
@@ -385,19 +427,23 @@ TEST(Fft3dParallel, FftWorkersBitwiseIdenticalToSerial) {
       in[i] = {raw[2 * i], raw[2 * i + 1]};
     }
 
-    std::vector<std::complex<double>> sfwd(count), pfwd(count);
-    serial.forward(in, sfwd);
-    parallel.forward(in, pfwd);
-    ASSERT_EQ(std::memcmp(pfwd.data(), sfwd.data(),
-                          count * sizeof(std::complex<double>)),
-              0);
-
-    std::vector<std::complex<double>> sbwd(count), pbwd(count);
-    serial.backward(sfwd, sbwd);
-    parallel.backward(pfwd, pbwd);
-    ASSERT_EQ(std::memcmp(pbwd.data(), sbwd.data(),
-                          count * sizeof(std::complex<double>)),
-              0);
+    std::vector<std::complex<double>> sfwd, sbwd;
+    transform(SimdLevel::kScalar, 1, in, sfwd, sbwd);
+    for (int l = 0; l <= static_cast<int>(detected_simd_level()); ++l) {
+      for (const int workers : {1, 3}) {
+        const auto level = static_cast<SimdLevel>(l);
+        std::vector<std::complex<double>> pfwd, pbwd;
+        transform(level, workers, in, pfwd, pbwd);
+        ASSERT_EQ(std::memcmp(pfwd.data(), sfwd.data(),
+                              count * sizeof(std::complex<double>)),
+                  0)
+            << simd_level_name(level) << " x" << workers;
+        ASSERT_EQ(std::memcmp(pbwd.data(), sbwd.data(),
+                              count * sizeof(std::complex<double>)),
+                  0)
+            << simd_level_name(level) << " x" << workers;
+      }
+    }
   });
 }
 

@@ -139,8 +139,9 @@ int main(int argc, char** argv) {
   std::printf("#   msg_two=%.3g msg_one=%.3g handshake=%.3g barrier=%.3g s\n",
               k.net.msg_overhead_two_sided, k.net.msg_overhead_one_sided,
               k.handshake_seconds, k.net.barrier_hop_latency);
-  std::printf("#   pool_concurrency=%d worker_efficiency=%.2f\n\n",
-              k.pool_concurrency, k.worker_efficiency);
+  std::printf("#   pool_concurrency=%d worker_efficiency=%.2f "
+              "fft_flops=%.3g flop/s\n\n",
+              k.pool_concurrency, k.worker_efficiency, k.fft_flops);
 
   const CodecRow codecs[] = {
       {"raw", nullptr},
