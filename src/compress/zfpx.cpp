@@ -391,8 +391,13 @@ int accuracy_k_min(double tol, int e) {
   if (e == kZeroBlockExp) return 62;  // Nothing to encode.
   const double quantized_tol = tol / std::ldexp(1.0, e - kQ);
   if (quantized_tol <= 16.0) return 0;  // Encode every plane.
-  const int k = static_cast<int>(std::floor(std::log2(quantized_tol))) - 4;
-  return std::min(k, 62);
+  // From 2^66 up every plane is below the tolerance (k >= 62). Deciding
+  // that before the int cast keeps an infinite ratio (a block exponent so
+  // small the ldexp underflows; log2(inf) == inf) or a huge one from
+  // overflowing it.
+  const double planes = std::log2(quantized_tol);
+  if (planes >= 66.0) return 62;
+  return static_cast<int>(std::floor(planes)) - 4;
 }
 
 }  // namespace

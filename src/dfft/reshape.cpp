@@ -73,6 +73,32 @@ void unpack_subvolume_bytes(const Box3& box, const Box3& sub, E* box_data,
   }
 }
 
+// Copy the sub-volume `sub` straight from one box-local field to another:
+// the self-block path, which never stages or touches the wire. One memcpy
+// when `sub` is a single run in both boxes, one per x-row otherwise.
+template <typename E>
+void copy_subvolume(const Box3& from_box, const Box3& to_box, const Box3& sub,
+                    const E* from, E* to) {
+  if (sub.empty()) return;
+  if (subvolume_contiguous(from_box, sub) &&
+      subvolume_contiguous(to_box, sub)) {
+    std::memcpy(to + subvolume_row_base<E>(to_box, sub, sub.lo[1], sub.lo[2]),
+                from + subvolume_row_base<E>(from_box, sub, sub.lo[1],
+                                             sub.lo[2]),
+                static_cast<std::size_t>(sub.count()) * sizeof(E));
+    return;
+  }
+  const std::size_t row_bytes =
+      static_cast<std::size_t>(sub.size[0]) * sizeof(E);
+  for (int z = sub.lo[2]; z < sub.hi(2); ++z) {
+    for (int y = sub.lo[1]; y < sub.hi(1); ++y) {
+      std::memcpy(to + subvolume_row_base<E>(to_box, sub, y, z),
+                  from + subvolume_row_base<E>(from_box, sub, y, z),
+                  row_bytes);
+    }
+  }
+}
+
 // Clear of user tags and the other reserved transport tags.
 constexpr int kReshapeFusedTag = (1 << 28) + 73;
 
@@ -116,20 +142,29 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
 
   const Box3& my_in = all_in_[static_cast<std::size_t>(rank_)];
   const Box3& my_out = all_out_[static_cast<std::size_t>(rank_)];
+  // The self-block is copied straight from `in` to `out` by execute(), so
+  // its counts stay zero: transports, codecs and stats only ever see the
+  // bytes that leave this rank.
+  self_box_ = Box3::intersect(my_in, my_out);
   for (std::size_t r = 0; r < p; ++r) {
     send_boxes_[r] = Box3::intersect(my_in, all_out_[r]);
     recv_boxes_[r] = Box3::intersect(all_in_[r], my_out);
-    send_counts_[r] = static_cast<std::uint64_t>(send_boxes_[r].count());
-    recv_counts_[r] = static_cast<std::uint64_t>(recv_boxes_[r].count());
+    if (static_cast<int>(r) != rank_) {
+      send_counts_[r] = static_cast<std::uint64_t>(send_boxes_[r].count());
+      recv_counts_[r] = static_cast<std::uint64_t>(recv_boxes_[r].count());
+    }
     send_displs_[r] = send_total_;
     recv_displs_[r] = recv_total_;
     send_total_ += send_counts_[r];
     recv_total_ += recv_counts_[r];
   }
-  LFFT_REQUIRE(send_total_ == static_cast<std::uint64_t>(my_in.count()),
-               "reshape: output boxes do not tile this rank's inbox");
-  LFFT_REQUIRE(recv_total_ == static_cast<std::uint64_t>(my_out.count()),
-               "reshape: input boxes do not tile this rank's outbox");
+  const auto self_count = static_cast<std::uint64_t>(self_box_.count());
+  LFFT_REQUIRE(
+      send_total_ + self_count == static_cast<std::uint64_t>(my_in.count()),
+      "reshape: output boxes do not tile this rank's inbox");
+  LFFT_REQUIRE(
+      recv_total_ + self_count == static_cast<std::uint64_t>(my_out.count()),
+      "reshape: input boxes do not tile this rank's outbox");
   // Will this rank exchange through a persistent plan (codec / kOsc), or
   // through the raw two-sided path? The fused raw pairwise exchange unpacks
   // straight out of the sender's buffer, so recvbuf_ would be dead weight —
@@ -137,6 +172,15 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
   bool planned = false;
   if constexpr (kReshapeDoubleBased<E>) {
     planned = options_.codec || options_.backend == ExchangeBackend::kOsc;
+  }
+  // When no rank sends anything off-rank (every rank's overlap is its own),
+  // there is nothing to plan: no window, no fence, and execute() is the
+  // self copy alone. Construction is collective on planned paths, so one
+  // allreduce decides it there.
+  if (planned) {
+    self_only_ = comm_.allreduce_one(static_cast<std::int64_t>(send_total_),
+                                     minimpi::ReduceOp::kMax) == 0;
+    planned = !self_only_;
   }
   fused_raw_ = !planned && options_.fused_raw &&
                options_.backend == ExchangeBackend::kPairwise;
@@ -175,13 +219,15 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
       tuned_ = d;
     }
   }
-  // Pack elision: when every nonzero sub-volume this rank sends occupies
-  // one contiguous run of the source field, packing is an identity copy.
-  // Rewrite the send displacements to field-linear element offsets and
-  // exchange straight out of `in` — every exchange layer (ExchangePlan,
-  // alltoallv, the fused pairwise rounds) addresses send data exclusively
-  // through (displacement, count) subspans and peers only learn counts,
-  // so the decision is rank-local and results are byte-identical.
+  // Pack elision: when every nonzero sub-volume this rank sends off-rank
+  // occupies one contiguous run of the source field, packing is an
+  // identity copy. Rewrite the send displacements to field-linear element
+  // offsets and exchange straight out of `in` — every exchange layer
+  // (ExchangePlan, alltoallv, the fused pairwise rounds) addresses send
+  // data exclusively through (displacement, count) subspans and peers only
+  // learn counts, so the decision is rank-local and results are
+  // byte-identical. The send view then spans the whole field (the
+  // self-block is not sent, so send_total_ falls short of it).
   pack_elided_ = options_.pack_elision;
   for (std::size_t r = 0; r < p && pack_elided_; ++r) {
     if (send_counts_[r] > 0 &&
@@ -251,7 +297,7 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
       wire_codec_ = std::make_shared<const ParallelCodec>(
           wire_codec_, &WorkerPool::global(), workers_);
     }
-    if (options_.codec || options_.backend == ExchangeBackend::kOsc) {
+    if (planned) {
       // Persistent plan: window + slot offsets + codec staging set up once
       // here (collectively), so execute() is pure data movement.
       osc::OscOptions oo;
@@ -287,6 +333,15 @@ void Reshape<E>::execute(std::span<const E> in, std::span<E> out) {
   LFFT_REQUIRE(out.size() == static_cast<std::size_t>(my_out.count()),
                "reshape: output span size mismatch");
   const Stopwatch watch;
+  if (!self_only_) exchange_off_rank(in, out);
+  copy_subvolume(my_in, my_out, self_box_, in.data(), out.data());
+  stats_.seconds += watch.seconds();
+}
+
+template <typename E>
+void Reshape<E>::exchange_off_rank(std::span<const E> in, std::span<E> out) {
+  const Box3& my_in = all_in_[static_cast<std::size_t>(rank_)];
+  const Box3& my_out = all_out_[static_cast<std::size_t>(rank_)];
 
   // Pack per-destination sub-volumes (skipped entirely when the pack stage
   // elided: the exchange reads the field directly). Destinations write
@@ -307,19 +362,21 @@ void Reshape<E>::execute(std::span<const E> in, std::span<E> out) {
       pack_range(0, send_boxes_.size());
     }
   }
-  const E* send_base = pack_elided_ ? in.data() : sendbuf_.data();
+  const std::span<const E> send =
+      pack_elided_ ? in
+                   : std::span<const E>(sendbuf_.data(),
+                                        static_cast<std::size_t>(send_total_));
 
   // Exchange.
   bool exchanged = false;
   if constexpr (kReshapeDoubleBased<E>) {
     if (plan_) {
       exchanged = true;
-      constexpr std::uint64_t kDbl = sizeof(E) / sizeof(double);
+      constexpr std::size_t kDbl = sizeof(E) / sizeof(double);
       // Bank 0 of the (possibly batch-sized) staging: the plan's
       // single-field execute expects exactly one field image.
       const std::span<const double> send_view(
-          reinterpret_cast<const double*>(send_base),
-          static_cast<std::size_t>(kDbl * send_total_));
+          reinterpret_cast<const double*>(send.data()), kDbl * send.size());
       const std::span<double> recv_view(
           reinterpret_cast<double*>(recvbuf_.data()),
           static_cast<std::size_t>(kDbl * recv_total_));
@@ -336,14 +393,11 @@ void Reshape<E>::execute(std::span<const E> in, std::span<E> out) {
     stats_.messages += comm_.size() - 1;
     if (fused_raw_) {
       // Exchange and unpack are one pass; recvbuf_ does not exist.
-      execute_raw_fused(in, out);
-      stats_.seconds += watch.seconds();
+      execute_raw_fused(send, out);
       return;
     }
-    minimpi::alltoallv(comm_,
-                       std::as_bytes(std::span<const E>(
-                           send_base, static_cast<std::size_t>(send_total_))),
-                       byte_send_counts_, byte_send_displs_,
+    minimpi::alltoallv(comm_, std::as_bytes(send), byte_send_counts_,
+                       byte_send_displs_,
                        std::as_writable_bytes(std::span<E>(recvbuf_)),
                        byte_recv_counts_, byte_recv_displs_,
                        options_.backend == ExchangeBackend::kLinear
@@ -366,7 +420,6 @@ void Reshape<E>::execute(std::span<const E> in, std::span<E> out) {
   } else {
     unpack_range(0, recv_boxes_.size());
   }
-  stats_.seconds += watch.seconds();
 }
 
 template <typename E>
@@ -384,7 +437,7 @@ void Reshape<E>::execute_batch(std::span<const E> in, std::span<E> out,
   LFFT_REQUIRE(out.size() == nf * out_ext,
                "reshape: batch output must hold `fields` field images");
 
-  // Unplanned paths (raw two-sided, float-based fields) have no
+  // Unplanned paths (raw two-sided, float-based fields, self-only) have no
   // synchronization epoch to amortize: the batch is a per-field loop.
   if (!plan_ || fields == 1) {
     for (std::size_t f = 0; f < nf; ++f) {
@@ -399,9 +452,9 @@ void Reshape<E>::execute_batch(std::span<const E> in, std::span<E> out,
 
     // Pack every field into its staging bank; (field, destination) items
     // write disjoint slices, so the whole batch fans out at once. An
-    // elided pack skips this wholesale: the field banks in `in` already
-    // have the bank stride (in_ext == send_total_) and the field-linear
-    // displacements the exchange addresses with.
+    // elided pack skips this wholesale: the exchange reads the field
+    // banks of `in` directly, at bank stride in_ext, with the field-linear
+    // displacements.
     if (!pack_elided_) {
       const auto pack_item = [&](std::size_t lo, std::size_t hi) {
         for (std::size_t k = lo; k < hi; ++k) {
@@ -421,14 +474,17 @@ void Reshape<E>::execute_batch(std::span<const E> in, std::span<E> out,
 
     // One batched exchange: all field banks travel under a single fence /
     // PSCW handshake sequence.
-    constexpr std::uint64_t kDbl = sizeof(E) / sizeof(double);
+    constexpr std::size_t kDbl = sizeof(E) / sizeof(double);
+    const std::span<const E> send =
+        pack_elided_ ? in
+                     : std::span<const E>(
+                           sendbuf_.data(),
+                           static_cast<std::size_t>(send_total_) * nf);
     const std::span<const double> send_view(
-        reinterpret_cast<const double*>(pack_elided_ ? in.data()
-                                                     : sendbuf_.data()),
-        static_cast<std::size_t>(kDbl * send_total_) * nf);
+        reinterpret_cast<const double*>(send.data()), kDbl * send.size());
     const std::span<double> recv_view(
         reinterpret_cast<double*>(recvbuf_.data()),
-        static_cast<std::size_t>(kDbl * recv_total_) * nf);
+        kDbl * static_cast<std::size_t>(recv_total_) * nf);
     const auto st = plan_->execute_batch(send_view, recv_view, fields);
     stats_.accumulate(st);
 
@@ -447,12 +503,16 @@ void Reshape<E>::execute_batch(std::span<const E> in, std::span<E> out,
     } else {
       unpack_item(0, nf * p);
     }
+    for (std::size_t f = 0; f < nf; ++f) {
+      copy_subvolume(my_in, my_out, self_box_, in.data() + f * in_ext,
+                     out.data() + f * out_ext);
+    }
     stats_.seconds += watch.seconds();
   }
 }
 
 template <typename E>
-void Reshape<E>::execute_raw_fused(std::span<const E> in, std::span<E> out) {
+void Reshape<E>::execute_raw_fused(std::span<const E> send, std::span<E> out) {
   // Pairwise rounds with the unpack fused into the receive: recv_consume
   // hands us the message payload in place — the sender's sendbuf_ slice for
   // rendezvous messages, the pooled envelope for eager ones — and we scatter
@@ -460,19 +520,6 @@ void Reshape<E>::execute_raw_fused(std::span<const E> in, std::span<E> out) {
   // results are byte-identical (same rows, same sources, one fewer hop).
   const Box3& my_out = all_out_[static_cast<std::size_t>(rank_)];
   const int p = comm_.size();
-  const auto me = static_cast<std::size_t>(rank_);
-  // Send source: the field itself when the pack stage elided (a contiguous
-  // sub-volume's packed bytes *are* its field bytes at the linear offset).
-  const std::span<const E> send_span(
-      pack_elided_ ? in.data() : sendbuf_.data(),
-      static_cast<std::size_t>(send_total_));
-
-  // Self overlap: unpack directly from the (real or elided) send staging.
-  if (recv_counts_[me] > 0) {
-    unpack_subvolume(my_out, recv_boxes_[me], out.data(),
-                     send_span.data() + send_displs_[me]);
-  }
-
   for (int j = 1; j < p; ++j) {
     const auto dst = static_cast<std::size_t>((rank_ + j) % p);
     const auto src = static_cast<std::size_t>((rank_ - j + p) % p);
@@ -480,8 +527,8 @@ void Reshape<E>::execute_raw_fused(std::span<const E> in, std::span<E> out) {
     bool sent = false;
     if (byte_send_counts_[dst] > 0) {
       req = comm_.isend(
-          std::as_bytes(send_span)
-              .subspan(byte_send_displs_[dst], byte_send_counts_[dst]),
+          std::as_bytes(send).subspan(byte_send_displs_[dst],
+                                      byte_send_counts_[dst]),
           static_cast<int>(dst), kReshapeFusedTag);
       sent = true;
     }

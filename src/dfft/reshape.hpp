@@ -4,11 +4,18 @@
 //
 // Planning is local: every rank derives the full source and destination box
 // lists from the decomposition functions, intersects them, and packs the
-// overlaps. Execution goes through one of three exchange backends:
+// overlaps. This rank's own overlap (its self-block, inbox ∩ outbox) never
+// reaches a transport: execute() copies it straight from `in` to `out`, so
+// it is exact under every codec, and the exchange, its codec and its
+// ExchangeStats carry only off-rank bytes — what every MPI alltoallv does
+// locally. The off-rank overlaps go through one of three exchange backends:
 //   kPairwise / kLinear — two-sided minimpi alltoallv (the classical
 //                         MPI_Alltoallv baselines), optionally compressed;
 //   kOsc               — the paper's one-sided ring with pipelined
 //                         compression (Algorithm 3).
+// A planned reshape in which no rank sends anything off-rank (bricks whose
+// process grid equals the pencil grid, any 1-rank world) builds no plan
+// and runs no exchange at all.
 //
 // The element type E is any trivially-copyable cell: complex<double> for
 // the c2c transform, double for the real stage of the r2c transform, and
@@ -61,9 +68,9 @@ struct ReshapeOptions {
   /// false selects the staged alltoallv baseline; results are
   /// byte-identical either way (reshape_test locks this down).
   bool fused_raw = true;
-  /// Pack elision: when every nonzero sub-volume this rank sends occupies
-  /// one contiguous run of its source field (subvolume_contiguous), the
-  /// pack stage is a pure identity copy — skip it. Send displacements
+  /// Pack elision: when every nonzero sub-volume this rank sends off-rank
+  /// occupies one contiguous run of its source field (subvolume_contiguous),
+  /// the pack stage is a pure identity copy — skip it. Send displacements
   /// become field-linear offsets, the exchange reads straight out of `in`,
   /// and sendbuf_ is never allocated. The decision is rank-local (every
   /// exchange layer addresses send data through (displacement, count)
@@ -116,6 +123,8 @@ class Reshape {
   /// codec staging), which makes construction and destruction *collective*
   /// on those paths: every rank must create and destroy its Reshapes in
   /// the same order, which Fft3d's symmetric plan setup already does.
+  /// There, one allreduce also decides whether any rank sends off-rank;
+  /// if none does, no plan is built.
   Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
           std::vector<Box3> all_out, ReshapeOptions options);
 
@@ -125,7 +134,11 @@ class Reshape {
   }
 
   /// Execute: `in` holds inbox().count() elements, `out` receives
-  /// outbox().count(). Collective.
+  /// outbox().count(); the two must not overlap. Off-rank sub-volumes go
+  /// through the exchange, then the self-block is copied from `in` to
+  /// `out` (one memcpy when it is contiguous in both boxes, one per x-row
+  /// otherwise). Collective, except on a self-only reshape, whose execute
+  /// is that copy alone: no fence, barrier or message.
   void execute(std::span<const E> in, std::span<E> out);
 
   /// Redistribute `fields` same-layout fields
@@ -134,11 +147,13 @@ class Reshape {
   /// the matching outbox().count()-element images. On the planned paths
   /// every field is packed into its staging bank, the plan exchanges all
   /// banks under a single fence / PSCW handshake sequence, and all banks
-  /// unpack — synchronization cost is per batch, not per field. Results
-  /// are identical to `fields` back-to-back execute() calls. Collective.
+  /// unpack — synchronization cost is per batch, not per field. Each
+  /// field's self-block is then copied from `in` to `out`. Results are
+  /// identical to `fields` back-to-back execute() calls. Collective.
   void execute_batch(std::span<const E> in, std::span<E> out, int fields);
 
-  /// Exchange statistics accumulated over all execute() calls on this rank.
+  /// Exchange statistics accumulated over all execute() calls on this
+  /// rank. Payload, wire bytes and messages count off-rank traffic only.
   const osc::ExchangeStats& stats() const { return stats_; }
 
   /// Accumulated per-source arrival lag from the underlying plan
@@ -178,7 +193,9 @@ class Reshape {
   // Precomputed overlap metadata (counts/displs in elements), plus the
   // unit-scaled variants execute() hands to the exchange layer: double
   // units for the codec/OSC path, bytes for the raw two-sided path. All
-  // hoisted here so execute() allocates nothing in steady state.
+  // hoisted here so execute() allocates nothing in steady state. The
+  // self entries' counts are zero: the self-block is self_box_.
+  Box3 self_box_;
   std::vector<Box3> send_boxes_, recv_boxes_;
   std::vector<std::uint64_t> send_counts_, send_displs_;
   std::vector<std::uint64_t> recv_counts_, recv_displs_;
@@ -196,6 +213,9 @@ class Reshape {
   /// (WorkerPool::effective_shards) against this plan's staging totals, so
   /// small reshapes stay serial where fan-out overhead dominates.
   int pack_shards_ = 1, unpack_shards_ = 1;
+  /// Resolved at construction on planned paths: no rank sends anything
+  /// off-rank, so there is no plan and execute() is the self copy alone.
+  bool self_only_ = false;
   /// Resolved at construction: the raw pairwise exchange runs fused
   /// (recv_consume straight into `out`; recvbuf_ stays unallocated).
   bool fused_raw_ = false;
@@ -207,10 +227,14 @@ class Reshape {
   /// path (overrides backend / fused / workers at plan construction).
   std::optional<tuner::TuneDecision> tuned_;
 
+  /// Pack, exchange and unpack the off-rank sub-volumes of one field.
+  void exchange_off_rank(std::span<const E> in, std::span<E> out);
+
   /// The fused raw exchange: pairwise isend/recv_consume rounds that unpack
   /// each source's sub-volume directly from the sender's buffer into `out`.
-  /// `in` is the send source when the pack stage elided (sendbuf_ otherwise).
-  void execute_raw_fused(std::span<const E> in, std::span<E> out);
+  /// `send` is the field itself when the pack stage elided (sendbuf_
+  /// otherwise).
+  void execute_raw_fused(std::span<const E> send, std::span<E> out);
 
   std::vector<E> sendbuf_, recvbuf_;
   /// Persistent exchange plan (codec / kOsc paths; null otherwise). Pins a

@@ -151,6 +151,9 @@ void alltoall(Comm& comm, std::span<const std::byte> sendbuf,
   LFFT_REQUIRE(sendbuf.size() == p * block_bytes &&
                    recvbuf.size() == p * block_bytes,
                "alltoall: buffers must hold size() blocks");
+  // Every rank passes the same block size, so all skip an empty exchange
+  // together (and no memcpy ever sees the empty buffers' null pointers).
+  if (block_bytes == 0) return;
   if (algo == AlltoallAlgorithm::kAuto) {
     algo = block_bytes <= kBruckThresholdBytes ? AlltoallAlgorithm::kBruck
                                                : AlltoallAlgorithm::kPairwise;

@@ -93,6 +93,11 @@ struct OscOptions {
 /// machine constants). Deterministic, so sender and receiver agree.
 int plan_pipeline_chunks(std::uint64_t payload_bytes, double rate);
 
+// Through Reshape (and so Fft3d and the serving layer), payload_bytes,
+// wire_bytes and messages cover off-rank traffic only: a reshape copies
+// each rank's self-block locally and hands the exchange zero self counts.
+// Direct ExchangePlan / alltoallv callers that pass self counts see them
+// counted like any other destination.
 struct ExchangeStats {
   std::uint64_t payload_bytes = 0;  // Uncompressed bytes this rank sent.
   std::uint64_t wire_bytes = 0;     // Bytes actually put on the wire.

@@ -23,8 +23,7 @@ double fan_speedup(int w, int cap, const CostConstants& k) {
 }
 
 // Total codec input bytes one rank processes per exchange: every
-// off-diagonal destination's payload (the self pair round-trips too on the
-// two-sided fused path, but it is the same size class — fold it in).
+// off-diagonal destination's payload.
 double codec_input_bytes(const ExchangeSignature& sig) {
   return static_cast<double>(sig.pair_bytes) *
          static_cast<double>(std::max(1, sig.p - 1));

@@ -80,10 +80,13 @@ std::size_t first_overlap(const Stage::Dim& dim, int lo) {
 
 // Price one reshape A -> B: sparse overlap enumeration builds the OSC ring
 // schedule the Reshape's plan would emit (identical phase placement to
-// schedule_osc_ring_sparse) and per-rank payload totals for the codec and
-// staging terms. A rank's pack term is dropped when every subvolume it
-// sends is contiguous in its source field (the exact condition Reshape
-// uses to elide packing).
+// schedule_osc_ring_sparse) and per-rank off-rank payload totals for the
+// codec and staging terms. Each rank's self-block (src == dst) never
+// reaches the wire: it pays one copy and nothing else. A rank's pack term
+// is dropped when every subvolume it sends off-rank is contiguous in its
+// source field (the exact condition Reshape uses to elide packing), and a
+// reshape with no off-rank traffic at all runs no exchange, so it pays no
+// network or synchronization term.
 ReshapeCost price_reshape(const DecompSignature& sig, const Stage& A,
                           const Stage& B, const CostConstants& k,
                           bool pack_elision) {
@@ -94,6 +97,7 @@ ReshapeCost price_reshape(const DecompSignature& sig, const Stage& A,
 
   std::vector<double> send_bytes(static_cast<std::size_t>(p), 0.0);
   std::vector<double> recv_bytes(static_cast<std::size_t>(p), 0.0);
+  std::vector<double> self_bytes(static_cast<std::size_t>(p), 0.0);
   std::vector<char> elide(static_cast<std::size_t>(p),
                           static_cast<char>(pack_elision ? 1 : 0));
 
@@ -137,26 +141,26 @@ ReshapeCost price_reshape(const DecompSignature& sig, const Stage& A,
               const int dst = B.rank_of(B.dim[0].coord[t0],
                                         B.dim[1].coord[t1],
                                         B.dim[2].coord[t2]);
+              if (dst == src) {
+                self_bytes[static_cast<std::size_t>(src)] += payload;
+                continue;
+              }
               send_bytes[static_cast<std::size_t>(src)] += payload;
               recv_bytes[static_cast<std::size_t>(dst)] += payload;
               if (elide[static_cast<std::size_t>(src)] &&
                   !subvolume_contiguous(sbox, ov)) {
                 elide[static_cast<std::size_t>(src)] = 0;
               }
-              if (dst != src) {
-                const std::uint64_t wire =
-                    raw ? static_cast<std::uint64_t>(payload)
-                        : static_cast<std::uint64_t>(
-                              std::ceil(payload / rate));
-                rc.wire_bytes += wire;
-                ++rc.messages;
-                // Round j serves the node at ring distance j, matching
-                // schedule_osc_ring_sparse.
-                const int j =
-                    ((dst / gpn) - (src / gpn) + rounds) % rounds;
-                sched.phases[static_cast<std::size_t>(j)].messages.push_back(
-                    {src, dst, wire});
-              }
+              const std::uint64_t wire =
+                  raw ? static_cast<std::uint64_t>(payload)
+                      : static_cast<std::uint64_t>(std::ceil(payload / rate));
+              rc.wire_bytes += wire;
+              ++rc.messages;
+              // Round j serves the node at ring distance j, matching
+              // schedule_osc_ring_sparse.
+              const int j = ((dst / gpn) - (src / gpn) + rounds) % rounds;
+              sched.phases[static_cast<std::size_t>(j)].messages.push_back(
+                  {src, dst, wire});
             }
           }
         }
@@ -164,9 +168,11 @@ ReshapeCost price_reshape(const DecompSignature& sig, const Stage& A,
     }
   }
 
-  const netsim::Topology topo =
-      netsim::Topology::make((p + gpn - 1) / gpn, gpn);
-  rc.net_seconds = netsim::simulate(topo, sched, k.net).seconds;
+  if (rc.messages > 0) {
+    const netsim::Topology topo =
+        netsim::Topology::make((p + gpn - 1) / gpn, gpn);
+    rc.net_seconds = netsim::simulate(topo, sched, k.net).seconds;
+  }
 
   double max_send = 0.0;
   double max_recv = 0.0;
@@ -176,7 +182,7 @@ ReshapeCost price_reshape(const DecompSignature& sig, const Stage& A,
     max_send = std::max(max_send, send_bytes[ur]);
     max_recv = std::max(max_recv, recv_bytes[ur]);
     const double pack = elide[ur] ? 0.0 : send_bytes[ur];
-    max_copy = std::max(max_copy, pack + recv_bytes[ur]);
+    max_copy = std::max(max_copy, pack + recv_bytes[ur] + self_bytes[ur]);
     if (elide[ur] && send_bytes[ur] > 0.0) ++rc.elided_ranks;
   }
   if (!raw) {

@@ -11,10 +11,14 @@
 // (O(overlapping pairs), never O(p^2) — feasible at 16k simulated ranks),
 // placed into the paper's OSC ring schedule, and priced through the
 // netsim contention model. On top of the network term each reshape pays
-//   * codec encode/decode at the busiest rank (calibrated throughputs),
-//   * pack/unpack staging copies — with the pack term *dropped* for every
-//     rank whose send boxes are contiguous in its source field
-//     (subvolume_contiguous), exactly when Reshape elides packing,
+//   * codec encode/decode of the off-rank bytes at the busiest rank
+//     (calibrated throughputs),
+//   * pack/unpack staging copies of the off-rank bytes — with the pack
+//     term *dropped* for every rank whose off-rank send boxes are
+//     contiguous in its source field (subvolume_contiguous), exactly when
+//     Reshape elides packing — plus one copy of each rank's self-block,
+//     which never reaches the wire (a reshape with no off-rank traffic
+//     pays that copy alone: no network or synchronization term),
 // and each compute stage pays max-local-elements x 5 log2(n_dir) flops at
 // CostConstants::fft_flops, so slab pipelines and oversubscribed grids
 // are charged for their idle ranks.
@@ -83,8 +87,8 @@ struct DecompDecision {
 /// Per-reshape cost breakdown (tune_dump --verbose, bench_scaling).
 struct ReshapeCost {
   double net_seconds = 0.0;    // netsim contention term.
-  double codec_seconds = 0.0;  // Busiest-rank encode + decode.
-  double copy_seconds = 0.0;   // Busiest-rank pack + unpack staging.
+  double codec_seconds = 0.0;  // Busiest-rank off-rank encode + decode.
+  double copy_seconds = 0.0;   // Busiest-rank pack + unpack + self copy.
   std::uint64_t wire_bytes = 0;
   std::uint64_t messages = 0;  // Off-diagonal messages emitted.
   int elided_ranks = 0;        // Ranks whose pack stage elides.

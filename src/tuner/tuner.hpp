@@ -82,8 +82,10 @@ class Tuner {
   /// keyed under an unchanged level name. Version 5 added the coded
   /// exchange's parity token to exchange rows. Version 6 invalidated
   /// decomposition rows priced with the fixed fft_flops default, now that
-  /// calibration measures the batched lane FFT.
-  static constexpr int kCacheVersion = 6;
+  /// calibration measures the batched lane FFT. Version 7 invalidated
+  /// decomposition rows priced with self-blocks on the wire, now that
+  /// reshapes copy them locally and only off-rank bytes pay codec and net.
+  static constexpr int kCacheVersion = 7;
 
  private:
   std::string key(const ExchangeSignature& sig) const;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -341,20 +342,92 @@ TEST(Fft3d, SlabRoundTripWithCompression) {
   });
 }
 
-TEST(Fft3d, SlabMovesFewerBytesThanPencil) {
-  // Three reshapes instead of four: the slab pipeline's total payload is
-  // ~3/4 of the pencil pipeline's on the same world.
+// Bytes this rank sends off-rank in the reshape all_in -> all_out: its
+// inbox minus the self-block it keeps, 16 bytes per complex<double>.
+std::uint64_t off_rank_bytes(const std::vector<Box3>& all_in,
+                             const std::vector<Box3>& all_out, int rank) {
+  const Box3& in = all_in[static_cast<std::size_t>(rank)];
+  const Box3& out = all_out[static_cast<std::size_t>(rank)];
+  return 16 * static_cast<std::uint64_t>(in.count() -
+                                         Box3::intersect(in, out).count());
+}
+
+TEST(Fft3d, PayloadIsOffRankOverlapVolume) {
+  // Each pipeline's payload is exactly the off-rank overlap volume of its
+  // reshapes, computed here from the same box lists the planner derives:
+  // self-blocks never reach the wire, on the raw path or a codec path.
   run_ranks(4, [](Comm& comm) {
     const std::array<int, 3> n{8, 8, 8};
-    Fft3dOptions slab_o;
-    slab_o.algorithm = FftAlgorithm::kSlab;
-    Fft3d<double> slab(comm, n, slab_o);
-    Fft3d<double> pencil(comm, n);
-    const auto in = local_field<double>(slab.inbox(), 35);
-    std::vector<std::complex<double>> out(slab.local_count());
-    slab.forward(in, out);
-    pencil.forward(in, out);
-    EXPECT_LT(slab.stats().payload_bytes, pencil.stats().payload_bytes);
+    const int p = comm.size();
+    const int me = comm.rank();
+    const auto bricks = split_brick(n, proc_grid3_for(p, n));
+    const auto zs = split_brick(n, {1, 1, p});
+    const auto xs = split_brick(n, {p, 1, 1});
+    const auto xp = split_pencil(n, 0, proc_grid2_for(p, n[1], n[2]));
+    const auto yp = split_pencil(n, 1, proc_grid2_for(p, n[0], n[2]));
+    const auto zp = split_pencil(n, 2, proc_grid2_for(p, n[0], n[1]));
+    const std::uint64_t slab_want = off_rank_bytes(bricks, zs, me) +
+                                    off_rank_bytes(zs, xs, me) +
+                                    off_rank_bytes(xs, bricks, me);
+    const std::uint64_t pencil_want =
+        off_rank_bytes(bricks, xp, me) + off_rank_bytes(xp, yp, me) +
+        off_rank_bytes(yp, zp, me) + off_rank_bytes(zp, bricks, me);
+    EXPECT_GT(slab_want, 0u);
+    EXPECT_GT(pencil_want, 0u);
+    Fft3dOptions fp32;
+    fp32.backend = ExchangeBackend::kOsc;
+    fp32.codec = std::make_shared<CastFp32Codec>();
+    for (const Fft3dOptions& base : {Fft3dOptions{}, fp32}) {
+      Fft3dOptions slab_o = base;
+      slab_o.algorithm = FftAlgorithm::kSlab;
+      Fft3d<double> slab(comm, n, slab_o);
+      Fft3d<double> pencil(comm, n, base);
+      const auto in = local_field<double>(slab.inbox(), 35);
+      std::vector<std::complex<double>> out(slab.local_count());
+      slab.forward(in, out);
+      pencil.forward(in, out);
+      EXPECT_EQ(slab.stats().payload_bytes, slab_want);
+      EXPECT_EQ(pencil.stats().payload_bytes, pencil_want);
+      const std::uint64_t rate = base.codec ? 2 : 1;
+      EXPECT_EQ(slab.stats().wire_bytes, slab_want / rate);
+      EXPECT_EQ(pencil.stats().wire_bytes, pencil_want / rate);
+    }
+  });
+}
+
+TEST(Fft3d, SingleRankLossyCodecIsExact) {
+  // On one rank every reshape is self-only: nothing crosses the wire, so a
+  // lossy codec never runs and the transform is bitwise the exact-wire one.
+  run_ranks(1, [](Comm& comm) {
+    const std::array<int, 3> n{12, 8, 6};
+    Fft3dOptions exact;
+    exact.backend = ExchangeBackend::kOsc;
+    Fft3dOptions lossy = exact;
+    lossy.codec = std::make_shared<BitTrimCodec>(12);
+    Fft3dOptions two_sided;
+    two_sided.codec = std::make_shared<CastFp16Codec>();
+    Fft3d<double> ref(comm, n, exact);
+    const auto in = local_field<double>(ref.inbox(), 36);
+    const auto count = ref.local_count();
+    std::vector<std::complex<double>> ref_spec(count), ref_back(count);
+    ref.forward(in, ref_spec);
+    ref.backward(ref_spec, ref_back);
+    for (const Fft3dOptions& o : {lossy, two_sided}) {
+      Fft3d<double> fft(comm, n, o);
+      std::vector<std::complex<double>> spec(count), back(count);
+      fft.forward(in, spec);
+      fft.backward(spec, back);
+      for (std::size_t i = 0; i < count; ++i) {
+        ASSERT_EQ(std::memcmp(&spec[i], &ref_spec[i], sizeof(spec[i])), 0)
+            << o.codec->name() << " spectrum i=" << i;
+        ASSERT_EQ(std::memcmp(&back[i], &ref_back[i], sizeof(back[i])), 0)
+            << o.codec->name() << " roundtrip i=" << i;
+      }
+      const auto st = fft.stats();
+      EXPECT_EQ(st.wire_bytes, 0u);
+      EXPECT_EQ(st.payload_bytes, 0u);
+      EXPECT_EQ(st.messages, 0);
+    }
   });
 }
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <new>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -8,6 +11,30 @@
 #include "dfft/decomp.hpp"
 #include "dfft/reshape.hpp"
 #include "minimpi/runtime.hpp"
+
+// ---- Heap-allocation counter (same shim as exchange_plan_test) -------------
+namespace {
+thread_local bool t_count_allocs = false;
+thread_local std::uint64_t t_allocs = 0;
+}  // namespace
+
+#define LFFT_TEST_ALLOC __attribute__((noinline))
+LFFT_TEST_ALLOC void* operator new(std::size_t n) {
+  if (t_count_allocs) ++t_allocs;
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+LFFT_TEST_ALLOC void* operator new[](std::size_t n) {
+  return ::operator new(n);
+}
+LFFT_TEST_ALLOC void operator delete(void* p) noexcept { std::free(p); }
+LFFT_TEST_ALLOC void operator delete[](void* p) noexcept { std::free(p); }
+LFFT_TEST_ALLOC void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+LFFT_TEST_ALLOC void operator delete[](void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace lossyfft {
 namespace {
@@ -124,9 +151,11 @@ TEST(Reshape, RoundTripBrickPencilBrickIsIdentity) {
 
 TEST(Reshape, CompressedExchangeBoundsError) {
   run_ranks(4, [](Comm& comm) {
+    // Bricks to y-pencils: the {1, 2, 2} brick grid equals the x-pencil
+    // grid, so brick -> x-pencil would never touch the codec.
     const std::array<int, 3> n{8, 8, 8};
     const auto bricks = split_brick(n, proc_grid3(4));
-    const auto pencils = split_pencil(n, 0, 4);
+    const auto pencils = split_pencil(n, 1, 4);
     ReshapeOptions o;
     o.backend = ExchangeBackend::kOsc;
     o.codec = std::make_shared<CastFp32Codec>();
@@ -385,16 +414,255 @@ TEST(Reshape, RecordsExchangeTime) {
 TEST(Reshape, StatsAccumulatePayload) {
   run_ranks(4, [](Comm& comm) {
     const std::array<int, 3> n{8, 8, 8};
-    Reshape<std::complex<double>> rs(comm, split_brick(n, proc_grid3(4)),
-                       split_pencil(n, 0, 4), ReshapeOptions{});
+    for (int dir = 0; dir < 3; ++dir) {
+      Reshape<std::complex<double>> rs(comm, split_brick(n, proc_grid3(4)),
+                                       split_pencil(n, dir, 4),
+                                       ReshapeOptions{});
+      const auto in = fill_box(rs.inbox());
+      std::vector<std::complex<double>> out(
+          static_cast<std::size_t>(rs.outbox().count()));
+      rs.execute(in, out);
+      rs.execute(in, out);
+      // Two executions, each moving the rank's off-rank volume: its inbox
+      // minus the self-block (16 bytes/elem). x-pencils share the brick
+      // grid, so that reshape moves nothing.
+      const auto off =
+          rs.inbox().count() - Box3::intersect(rs.inbox(), rs.outbox()).count();
+      if (dir > 0) {
+        EXPECT_GT(off, 0);
+      }
+      EXPECT_EQ(rs.stats().payload_bytes,
+                2ull * static_cast<std::uint64_t>(off) * 16)
+          << "dir=" << dir;
+      EXPECT_EQ(rs.stats().wire_bytes, rs.stats().payload_bytes);
+    }
+  });
+}
+
+// O(1) pseudo-random values keyed by global index and field: lossy codecs
+// need bounded magnitudes (fingerprint() reaches ~7e4, past FP16's range).
+std::complex<double> noise_at(int x, int y, int z, int field) {
+  Xoshiro256 rng(1 + static_cast<std::uint64_t>(x) +
+                 (static_cast<std::uint64_t>(y) << 12) +
+                 (static_cast<std::uint64_t>(z) << 24) +
+                 (static_cast<std::uint64_t>(field) << 36));
+  return {rng.uniform(-1, 1), rng.uniform(-1, 1)};
+}
+
+std::vector<std::complex<double>> noise_box(const Box3& b, int fields) {
+  std::vector<std::complex<double>> v;
+  v.reserve(static_cast<std::size_t>(b.count() * fields));
+  for (int f = 0; f < fields; ++f)
+    for (int z = b.lo[2]; z < b.hi(2); ++z)
+      for (int y = b.lo[1]; y < b.hi(1); ++y)
+        for (int x = b.lo[0]; x < b.hi(0); ++x)
+          v.push_back(noise_at(x, y, z, f));
+  return v;
+}
+
+TEST(Reshape, SelfBlockIsExactOnEveryLossyTransport) {
+  // x-pencils -> y-pencils on 4 ranks: each rank keeps a quarter of its
+  // pencil. That self-block is copied from `in` to `out` and must arrive
+  // bitwise exact; only the off-rank regions cross the lossy wire, and
+  // they must show codec error within the codec's bound.
+  struct LossyCodec {
+    CodecPtr codec;
+    double rel;  // Relative bound per component.
+  };
+  const LossyCodec codecs[] = {
+      {std::make_shared<CastFp16Codec>(), 0x1p-11},
+      {std::make_shared<BitTrimCodec>(20), 0x1p-20}};
+  struct Transport {
+    ExchangeBackend backend;
+    osc::OscSync sync;
+  };
+  const Transport transports[] = {
+      {ExchangeBackend::kPairwise, osc::OscSync::kFence},
+      {ExchangeBackend::kLinear, osc::OscSync::kFence},
+      {ExchangeBackend::kOsc, osc::OscSync::kFence},
+      {ExchangeBackend::kOsc, osc::OscSync::kPscw}};
+  constexpr int kFields = 2;
+  run_ranks(4, [&](Comm& comm) {
+    const std::array<int, 3> n{8, 8, 8};
+    const auto xp = split_pencil(n, 0, 4);
+    const auto yp = split_pencil(n, 1, 4);
+    for (const auto& c : codecs) {
+      for (const auto& t : transports) {
+        ReshapeOptions o;
+        o.backend = t.backend;
+        o.osc_sync = t.sync;
+        o.codec = c.codec;
+        o.batch = kFields;
+        Reshape<std::complex<double>> rs(comm, xp, yp, o);
+        const Box3& ob = rs.outbox();
+        const Box3 self = Box3::intersect(rs.inbox(), ob);
+        ASSERT_FALSE(self.empty());
+        ASSERT_LT(self.count(), ob.count());
+        const auto in = noise_box(rs.inbox(), kFields);
+        const auto want = noise_box(ob, kFields);
+        const auto out_n = static_cast<std::size_t>(ob.count());
+        for (const bool batched : {false, true}) {
+          const int fields = batched ? kFields : 1;
+          std::vector<std::complex<double>> out(out_n * fields, {9, 9});
+          if (batched) {
+            rs.execute_batch(in, out, kFields);
+          } else {
+            rs.execute(std::span(in).first(in.size() / kFields), out);
+          }
+          const std::string where = c.codec->name() + " " +
+                                    to_string(t.backend) + " sync=" +
+                                    std::to_string(static_cast<int>(t.sync)) +
+                                    (batched ? " batch" : " single");
+          std::size_t lossy = 0;
+          for (std::size_t i = 0; i < out.size(); ++i) {
+            const std::size_t e = i % out_n;
+            const int x = ob.lo[0] + static_cast<int>(e % ob.size[0]);
+            const int y = ob.lo[1] +
+                          static_cast<int>(e / ob.size[0] % ob.size[1]);
+            const int z = ob.lo[2] + static_cast<int>(e / ob.size[0] /
+                                                      ob.size[1]);
+            if (self.contains(x, y, z)) {
+              ASSERT_EQ(std::memcmp(&out[i], &want[i], sizeof(out[i])), 0)
+                  << where << " self (" << x << "," << y << "," << z << ")";
+              continue;
+            }
+            if (out[i] != want[i]) ++lossy;
+            // FP16 flushes |v| < 2^-14 to subnormals: 2^-25 absolute slack.
+            const double tol_re = c.rel * std::abs(want[i].real()) + 0x1p-25;
+            const double tol_im = c.rel * std::abs(want[i].imag()) + 0x1p-25;
+            ASSERT_LE(std::abs(out[i].real() - want[i].real()), tol_re)
+                << where << " off-rank i=" << i;
+            ASSERT_LE(std::abs(out[i].imag() - want[i].imag()), tol_im)
+                << where << " off-rank i=" << i;
+          }
+          // The off-rank regions did cross the lossy wire.
+          EXPECT_GT(lossy, 0u) << where;
+        }
+      }
+    }
+  });
+}
+
+TEST(Reshape, SelfOnlyPlannedReshapeRunsNoExchange) {
+  // brick -> x-pencil on 4 ranks (the {1, 2, 2} brick grid equals the
+  // x-pencil grid) and any reshape on 1 rank move nothing off-rank: no
+  // plan, no window, and execute is the self copy alone — no barrier, no
+  // message, no allocation.
+  const auto check = [](Comm& comm, const std::vector<Box3>& from,
+                        const std::vector<Box3>& to, ReshapeOptions o) {
+    const std::uint64_t w0 = comm.state().window_begin_count();
+    o.batch = 2;
+    Reshape<std::complex<double>> rs(comm, from, to, o);
+    comm.barrier();
+    EXPECT_EQ(comm.state().window_begin_count(), w0);
+    EXPECT_EQ(rs.footprint_bytes(), 0u);
     const auto in = fill_box(rs.inbox());
-    std::vector<std::complex<double>> out(
-        static_cast<std::size_t>(rs.outbox().count()));
+    std::vector<std::complex<double>> in2(in);
+    in2.insert(in2.end(), in.begin(), in.end());
+    const auto out_n = static_cast<std::size_t>(rs.outbox().count());
+    std::vector<std::complex<double>> out(out_n), out2(2 * out_n);
+
+    // Barrier budget: the counter bumps at barrier entry, so the reads are
+    // bracketed with bcasts (message-based) instead of barriers.
+    std::array<std::byte, 1> tok{};
+    comm.barrier();
+    std::uint64_t b0 = 0;
+    if (comm.rank() == 0) b0 = comm.state().barrier_count();
+    comm.bcast(std::span<std::byte>(tok), 0);
     rs.execute(in, out);
+    rs.execute_batch(in2, out2, 2);
+    if (comm.rank() == 0) {
+      EXPECT_EQ(comm.state().barrier_count(), b0);
+    }
+    comm.bcast(std::span<std::byte>(tok), 0);
+
+    // Message and allocation budget: barriers post no messages.
+    comm.barrier();
+    const std::uint64_t m0 = comm.state().message_post_count();
+    comm.barrier();
+    t_allocs = 0;
+    t_count_allocs = true;
     rs.execute(in, out);
-    // Two executions, each moving the rank's whole inbox (16 bytes/elem).
-    EXPECT_EQ(rs.stats().payload_bytes,
-              2ull * static_cast<std::uint64_t>(rs.inbox().count()) * 16);
+    rs.execute_batch(in2, out2, 2);
+    t_count_allocs = false;
+    comm.barrier();
+    EXPECT_EQ(comm.state().message_post_count(), m0);
+    EXPECT_EQ(t_allocs, 0u);
+    // No rank may post (the next construction's allreduce) before every
+    // rank has read the counter.
+    comm.barrier();
+
+    expect_box(rs.outbox(), out, 0.0);
+    expect_box(rs.outbox(), std::span(out2).first(out_n), 0.0);
+    expect_box(rs.outbox(), std::span(out2).last(out_n), 0.0);
+    EXPECT_EQ(rs.stats().payload_bytes, 0u);
+    EXPECT_EQ(rs.stats().wire_bytes, 0u);
+    EXPECT_EQ(rs.stats().messages, 0);
+    EXPECT_EQ(rs.stats().rounds, 0);
+  };
+  ReshapeOptions osc;
+  osc.backend = ExchangeBackend::kOsc;
+  ReshapeOptions trimmed = osc;
+  trimmed.codec = std::make_shared<BitTrimCodec>(20);
+  ReshapeOptions two_sided;
+  two_sided.codec = std::make_shared<CastFp16Codec>();
+  const std::array<int, 3> n{8, 8, 8};
+  run_ranks(4, [&](Comm& comm) {
+    const auto bricks = split_brick(n, proc_grid3(4));
+    const auto xp = split_pencil(n, 0, 4);
+    for (const auto& o : {osc, trimmed, two_sided}) check(comm, bricks, xp, o);
+  });
+  run_ranks(1, [&](Comm& comm) {
+    const auto bricks = split_brick(n, proc_grid3(1));
+    const auto yp = split_pencil(n, 1, 1);
+    for (const auto& o : {osc, trimmed, two_sided}) check(comm, bricks, yp, o);
+  });
+}
+
+TEST(Reshape, PackElisionBatchedSelfBlockFirstMatchesPerFieldExecute) {
+  // z-pencils {2, 2} -> bricks {1, 2, 2} on 6x4x8: rank 0's self-block is
+  // the lower z-half of its pencil, ahead of the off-rank upper half in the
+  // field. An elided batch reads each off-rank block at its field-linear
+  // offset inside bank f of `in` (bank stride = the whole field, not the
+  // off-rank total); results must match per-field execute() exactly.
+  constexpr int kFields = 3;
+  run_ranks(4, [](Comm& comm) {
+    const std::array<int, 3> n{6, 4, 8};
+    const auto zp = split_pencil(n, 2, std::array<int, 2>{2, 2});
+    const auto bricks = split_brick(n, {1, 2, 2});
+    ReshapeOptions raw;
+    raw.backend = ExchangeBackend::kOsc;
+    raw.gpus_per_node = 2;
+    raw.batch = kFields;
+    ReshapeOptions trimmed = raw;
+    trimmed.codec = std::make_shared<BitTrimCodec>(20);
+    ReshapeOptions two_sided = trimmed;
+    two_sided.backend = ExchangeBackend::kPairwise;
+    for (const auto& o : {raw, trimmed, two_sided}) {
+      Reshape<std::complex<double>> rs(comm, zp, bricks, o);
+      ASSERT_TRUE(rs.pack_elided());
+      const Box3 self = Box3::intersect(rs.inbox(), rs.outbox());
+      if (comm.rank() == 0) {
+        ASSERT_EQ(self.lo, rs.inbox().lo);
+        ASSERT_LT(self.count(), rs.inbox().count());
+      }
+      const auto in_n = static_cast<std::size_t>(rs.inbox().count());
+      const auto out_n = static_cast<std::size_t>(rs.outbox().count());
+      std::vector<std::complex<double>> in(kFields * in_n);
+      Xoshiro256 rng(11 + static_cast<std::uint64_t>(comm.rank()));
+      fill_uniform_complex(rng, in);
+      std::vector<std::complex<double>> bout(kFields * out_n, {-1, -1});
+      std::vector<std::complex<double>> fout(kFields * out_n, {-2, -2});
+      rs.execute_batch(in, bout, kFields);
+      for (std::size_t f = 0; f < kFields; ++f) {
+        rs.execute(std::span(in).subspan(f * in_n, in_n),
+                   std::span(fout).subspan(f * out_n, out_n));
+      }
+      for (std::size_t i = 0; i < bout.size(); ++i) {
+        ASSERT_EQ(std::memcmp(&bout[i], &fout[i], sizeof(bout[i])), 0)
+            << (o.codec ? o.codec->name() : "raw") << " " << i;
+      }
+    }
   });
 }
 

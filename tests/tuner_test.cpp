@@ -483,7 +483,7 @@ const std::string& global_cache_path() {
   std::call_once(once, [] {
     const std::array<int, 3> n{12, 10, 8};
     const auto bricks = split_brick(n, proc_grid3(4));
-    const auto pencils = split_pencil(n, 0, 4);
+    const auto pencils = split_pencil(n, 1, 4);
     const auto pair = reshape_pair_bytes(bricks, pencils);
     // fp32's rate bucket: lround(log2(nominal_rate) * 4), as keyed by the
     // tuner (quarter-octave buckets).
@@ -506,9 +506,11 @@ const std::string& global_cache_path() {
 TEST(TunerAuto, SteadyStateExecuteIsCollectiveAndAllocationFree) {
   global_cache_path();
   run_ranks(4, [](Comm& comm) {
+    // Bricks to y-pencils: the {1, 2, 2} brick grid equals the x-pencil
+    // grid, so brick -> x-pencil would be self-only and build no plan.
     const std::array<int, 3> n{12, 10, 8};
     const auto bricks = split_brick(n, proc_grid3(4));
-    const auto pencils = split_pencil(n, 0, 4);
+    const auto pencils = split_pencil(n, 1, 4);
     ReshapeOptions ro;
     ro.backend = ExchangeBackend::kOsc;
     ro.codec = std::make_shared<CastFp32Codec>();
@@ -726,6 +728,36 @@ TEST(TunerDecomp, SlabWinsWhenItMovesFewerModeledBytes) {
     const double without = evaluate_decomp(sig, c, k, false).seconds;
     EXPECT_LE(with, without + 1e-15);
   }
+}
+
+TEST(TunerDecomp, SelfBlocksPayOneCopyAndNoWire) {
+  // 64^3 on 4 ranks, pencil grid {2, 2}: the {1, 2, 2} bricks equal the
+  // x-pencils, so brick -> x-pencil is self-only (one copy, no codec, no
+  // network or sync term); x -> y-pencil keeps half of each pencil and
+  // sends the other half, and only that half pays the codec.
+  const CostConstants k;
+  DecompSignature sig;
+  sig.n = {64, 64, 64};
+  sig.p = 4;
+  sig.gpn = 6;
+  sig.codec = std::make_shared<BitTrimCodec>(20);
+  const DecompCost cost = evaluate_decomp(
+      sig, DecompCandidate{DecompAlgorithm::kPencil, {2, 2}}, k);
+  ASSERT_EQ(cost.reshapes.size(), 4u);
+  const double field = 64.0 * 64 * 64 / 4 * 16;  // Bytes per rank.
+  const ReshapeCost& self_only = cost.reshapes[0];
+  EXPECT_EQ(self_only.net_seconds, 0.0);
+  EXPECT_EQ(self_only.codec_seconds, 0.0);
+  EXPECT_EQ(self_only.wire_bytes, 0u);
+  EXPECT_EQ(self_only.messages, 0u);
+  EXPECT_DOUBLE_EQ(self_only.copy_seconds, field / k.copy_bw);
+  const ReshapeCost& half = cost.reshapes[1];
+  EXPECT_GT(half.net_seconds, 0.0);
+  EXPECT_EQ(half.messages, 4u);
+  EXPECT_DOUBLE_EQ(half.codec_seconds,
+                   field / 2 / k.encode_bw + field / 2 / k.decode_bw);
+  // Packed send half + unpacked receive half + the kept half.
+  EXPECT_DOUBLE_EQ(half.copy_seconds, 1.5 * field / k.copy_bw);
 }
 
 }  // namespace
