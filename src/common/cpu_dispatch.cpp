@@ -44,6 +44,7 @@ SimdLevel detect() {
   // entry to the AVX2 kernels, so the name would overstate what runs).
   if (__builtin_cpu_supports("avx512f") &&
       __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512vbmi") &&
       __builtin_cpu_supports("avx512vbmi2") && os_enables_zmm_state()) {
     return SimdLevel::kAvx512;
   }

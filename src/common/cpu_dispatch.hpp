@@ -19,7 +19,9 @@ namespace lossyfft {
 enum class SimdLevel : int {
   kScalar = 0,  // Always available; the reference implementation.
   kAvx2 = 1,    // x86-64 AVX2 lanes (requires a -mavx2 build of the TUs).
-  kAvx512 = 2,  // AVX-512 F+BW+VBMI2 lanes with OS-enabled ZMM state.
+  kAvx512 = 2,  // AVX-512 F+BW+VBMI+VBMI2 lanes with OS-enabled ZMM
+                // state (the trim kernels' byte permutes are VBMI).
+                // Every VBMI2 part also has VBMI.
 };
 
 /// Best level this binary + host supports (compile-time force, cpuid, and

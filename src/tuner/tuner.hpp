@@ -85,7 +85,9 @@ class Tuner {
   /// calibration measures the batched lane FFT. Version 7 invalidated
   /// decomposition rows priced with self-blocks on the wire, now that
   /// reshapes copy them locally and only off-rank bytes pay codec and net.
-  static constexpr int kCacheVersion = 7;
+  /// Version 8 invalidated rows calibrated before the avx512 BitTrim
+  /// kernels moved to byte permutes (4-5x faster at generic widths).
+  static constexpr int kCacheVersion = 8;
 
  private:
   std::string key(const ExchangeSignature& sig) const;

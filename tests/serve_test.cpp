@@ -263,6 +263,9 @@ TEST(ServeScheduler, InflightCapDeniesEnqueue) {
   const auto dropped = sched.drain(s);
   EXPECT_EQ(dropped.size(), 2u);
   EXPECT_TRUE(sched.enqueue(s, job_for(s), &why));
+  // A queued job holds its session, which holds the queue: drain it, as
+  // the daemon's close_session does, so the cycle is released.
+  EXPECT_EQ(sched.drain(s).size(), 1u);
 }
 
 // --- Served execution vs the library ---------------------------------------
