@@ -70,7 +70,6 @@ int main(int argc, char** argv) {
       {"pairwise raw", ExchangeBackend::kPairwise, nullptr, 1},
       {"pairwise raw eager", ExchangeBackend::kPairwise, nullptr, 1, 1, true},
       {"pairwise raw fftx4", ExchangeBackend::kPairwise, nullptr, 1, 4},
-      {"linear raw", ExchangeBackend::kLinear, nullptr, 1},
       {"osc raw", ExchangeBackend::kOsc, nullptr, 1},
       {"osc raw fftx4", ExchangeBackend::kOsc, nullptr, 1, 4},
       {"osc raw x4", ExchangeBackend::kOsc, nullptr, 4},
@@ -150,8 +149,6 @@ int main(int argc, char** argv) {
   // with no compute in between isolates the exchange itself. "plan" rows
   // hold a persistent osc::ExchangePlan across iterations (the
   // Reshape-steady-state configuration); call rows pay the per-call setup.
-  // "staged" vs "fused" isolates the compression-fused rendezvous path
-  // against the encode+copy+decode baseline on the same codec.
   struct XRow {
     std::string label;
     double ms;
@@ -172,7 +169,6 @@ int main(int argc, char** argv) {
       std::string label;
       XMode mode;
       CodecPtr codec;           // nullptr = raw bytes.
-      bool fused = true;        // Two-sided codec paths only.
       bool eager_only = false;  // Force the copy-through-envelope transport.
       osc::OscSync sync = osc::OscSync::kFence;  // One-sided epoch close.
       int workers = 1;          // >1 enables pool-pipelined target decode.
@@ -183,36 +179,31 @@ int main(int argc, char** argv) {
     std::vector<XCfg> xcfgs = {
         {"osc raw", XMode::kOscCall, nullptr},
         {"osc raw plan", XMode::kOscPlan, nullptr},
-        {"osc raw pscw plan", XMode::kOscPlan, nullptr, true, false, kPscw},
+        {"osc raw pscw plan", XMode::kOscPlan, nullptr, false, kPscw},
         {"pairwise raw", XMode::kPairwise, nullptr},
-        {"pairwise raw eager", XMode::kPairwise, nullptr, true, true},
+        {"pairwise raw eager", XMode::kPairwise, nullptr, true},
         {"fp32 osc", XMode::kOscCall, fp32},
         {"fp32 osc plan", XMode::kOscPlan, fp32},
-        {"fp32 osc pscw plan", XMode::kOscPlan, fp32, true, false, kPscw},
-        {"fp32 osc pscw piped plan", XMode::kOscPlan, fp32, true, false, kPscw,
-         4},
-        {"fp32 twosided staged", XMode::kTwoCall, fp32, false},
-        {"fp32 twosided fused", XMode::kTwoCall, fp32, true},
-        {"fp32 twosided plan", XMode::kTwoPlan, fp32, true},
+        {"fp32 osc pscw plan", XMode::kOscPlan, fp32, false, kPscw},
+        {"fp32 osc pscw piped plan", XMode::kOscPlan, fp32, false, kPscw, 4},
+        {"fp32 twosided fused", XMode::kTwoCall, fp32},
+        {"fp32 twosided plan", XMode::kTwoPlan, fp32},
         {"bittrim20 osc", XMode::kOscCall, trim20},
         {"bittrim20 osc plan", XMode::kOscPlan, trim20},
-        {"bittrim20 osc pscw plan", XMode::kOscPlan, trim20, true, false,
-         kPscw},
-        {"bittrim20 osc pscw piped plan", XMode::kOscPlan, trim20, true, false,
+        {"bittrim20 osc pscw plan", XMode::kOscPlan, trim20, false, kPscw},
+        {"bittrim20 osc pscw piped plan", XMode::kOscPlan, trim20, false,
          kPscw, 4},
-        {"bittrim20 twosided staged", XMode::kTwoCall, trim20, false},
-        {"bittrim20 twosided fused", XMode::kTwoCall, trim20, true},
-        {"bittrim20 twosided plan", XMode::kTwoPlan, trim20, true},
+        {"bittrim20 twosided fused", XMode::kTwoCall, trim20},
+        {"bittrim20 twosided plan", XMode::kTwoPlan, trim20},
         {"szq1e-6 osc plan", XMode::kOscPlan, szq6},
-        {"szq1e-6 osc pscw plan", XMode::kOscPlan, szq6, true, false, kPscw},
+        {"szq1e-6 osc pscw plan", XMode::kOscPlan, szq6, false, kPscw},
         // The bit-plane codec rows time the scan-then-fill zfpx decode on
         // the wire it actually rides (target-side decode inside the
         // one-sided epoch); the piped row adds pool-pipelined decode.
         {"zfpx-acc1e-6 osc plan", XMode::kOscPlan, zacc6},
-        {"zfpx-acc1e-6 osc pscw plan", XMode::kOscPlan, zacc6, true, false,
-         kPscw},
-        {"zfpx-acc1e-6 osc pscw piped plan", XMode::kOscPlan, zacc6, true,
-         false, kPscw, 4},
+        {"zfpx-acc1e-6 osc pscw plan", XMode::kOscPlan, zacc6, false, kPscw},
+        {"zfpx-acc1e-6 osc pscw piped plan", XMode::kOscPlan, zacc6, false,
+         kPscw, 4},
     };
     // Coded exchange under injected stragglers: a probabilistic delay plan
     // parks a slice of the one-sided puts past the epoch close. With m = 0
@@ -243,7 +234,6 @@ int main(int argc, char** argv) {
           case tuner::TunePath::kOneSidedFence: return "osc-fence";
           case tuner::TunePath::kOneSidedPscw: return "osc-pscw";
           case tuner::TunePath::kTwoSidedFused: return "two-fused";
-          case tuner::TunePath::kTwoSidedStaged: return "two-staged";
         }
         return "?";
       };
@@ -272,7 +262,6 @@ int main(int argc, char** argv) {
                      ? XMode::kOscPlan
                      : XMode::kTwoPlan;
         c.codec = ac.codec;
-        c.fused = d.fused();
         c.sync = d.sync();
         c.workers = d.workers;
         xcfgs.push_back(std::move(c));
@@ -297,7 +286,6 @@ int main(int argc, char** argv) {
         }
         osc::OscOptions oo;
         oo.codec = xcfg.codec;
-        oo.fused = xcfg.fused;
         oo.sync = xcfg.sync;
         oo.workers = xcfg.workers;
         oo.parity = xcfg.parity;
@@ -359,20 +347,15 @@ int main(int argc, char** argv) {
     // --- Pack elision on a real reshape ------------------------------------
     // The z-pencil -> brick boundary stage sends contiguous runs of the
     // source field, so the elided plan posts sends straight from the field
-    // (no pack jobs, no staging buffer). The packed twin runs the same
-    // exchange with ReshapeOptions::pack_elision = false; outputs are
-    // bitwise identical, only the pack stage differs.
+    // (no pack jobs, no staging buffer).
     {
       struct RCfg {
         const char* label;
         CodecPtr codec;
-        bool elide;
       };
       const RCfg rcfgs[] = {
-          {"reshape zp->brick raw elided", nullptr, true},
-          {"reshape zp->brick raw packed", nullptr, false},
-          {"reshape zp->brick fp32 elided", fp32, true},
-          {"reshape zp->brick fp32 packed", fp32, false},
+          {"reshape zp->brick raw elided", nullptr},
+          {"reshape zp->brick fp32 elided", fp32},
       };
       const auto zp =
           split_pencil(n, 2, std::array<int, 2>{2, ranks / 2});
@@ -383,9 +366,8 @@ int main(int argc, char** argv) {
           ReshapeOptions ro;
           ro.backend = ExchangeBackend::kOsc;
           ro.codec = rc.codec;
-          ro.pack_elision = rc.elide;
           Reshape<std::complex<double>> rs(comm, zp, bricks, ro);
-          if (rc.elide && !rs.pack_elided()) {
+          if (!rs.pack_elided()) {
             std::fprintf(stderr, "expected elision on zp->brick\n");
             std::abort();
           }

@@ -86,9 +86,6 @@ lossyfft_plan* lossyfft_plan_c2c_ex(lossyfft_comm* comm, int nx, int ny,
     case LOSSYFFT_BACKEND_PAIRWISE:
       options.backend = lossyfft::ExchangeBackend::kPairwise;
       break;
-    case LOSSYFFT_BACKEND_LINEAR:
-      options.backend = lossyfft::ExchangeBackend::kLinear;
-      break;
     case LOSSYFFT_BACKEND_OSC:
       options.backend = lossyfft::ExchangeBackend::kOsc;
       break;

@@ -24,10 +24,10 @@ typedef struct lossyfft_plan lossyfft_plan;
  * choice of transport path, sync mode, and worker fan-out to the
  * model-guided autotuner (src/tuner/); decisions persist across processes
  * in the cache file named by the LOSSYFFT_TUNE_CACHE environment
- * variable. Results are identical to any fixed backend. */
+ * variable. Results are identical to any fixed backend. Value 1 (the
+ * retired linear backend) is rejected like any unknown value. */
 enum {
   LOSSYFFT_BACKEND_PAIRWISE = 0,
-  LOSSYFFT_BACKEND_LINEAR = 1,
   LOSSYFFT_BACKEND_OSC = 2,
   LOSSYFFT_BACKEND_AUTO = 3
 };

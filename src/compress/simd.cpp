@@ -9,11 +9,12 @@ namespace lossyfft::simd {
 // hook switch kernels without re-running dispatch. set_simd_level clamps
 // to the detected level, so an index never names lanes the host cannot
 // run (and the fallback factories mean it never names lanes the *binary*
-// does not contain either).
+// does not contain either). Only BitTrim and the casts have an AVX-512
+// build; the zfpx and szq avx512 slots run the AVX2 kernels.
 const ZfpxKernels& zfpx_kernels() {
   static const ZfpxKernels tables[3] = {scalar_zfpx_kernels(),
                                         avx2_zfpx_kernels(),
-                                        avx512_zfpx_kernels()};
+                                        avx2_zfpx_kernels()};
   return tables[static_cast<int>(simd_level())];
 }
 
@@ -27,7 +28,7 @@ const TrimKernels& trim_kernels() {
 const SzqKernels& szq_kernels() {
   static const SzqKernels tables[3] = {scalar_szq_kernels(),
                                        avx2_szq_kernels(),
-                                       avx512_szq_kernels()};
+                                       avx2_szq_kernels()};
   return tables[static_cast<int>(simd_level())];
 }
 

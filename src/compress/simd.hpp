@@ -3,10 +3,11 @@
 // Each table holds function pointers to the loops that dominate codec
 // time: the zfpx block transform + bit-plane group-test coder, the BitTrim
 // pack/unpack, the fp64<->fp32 casts, and the szq packed-index unpack.
-// Three builds of every kernel exist — the scalar reference (defined
-// beside the reference codec in zfpx.cpp / truncate.cpp / szq.cpp), an
-// AVX2 build in the matching *_simd.cpp TU, and an AVX-512 build in
-// *_simd512.cpp — and the accessor picks one from the active SimdLevel on
+// Every kernel has a scalar reference (defined beside the reference codec
+// in zfpx.cpp / truncate.cpp / szq.cpp) and an AVX2 build in the matching
+// *_simd.cpp TU; the BitTrim and cast kernels also have an AVX-512 build
+// in truncate_simd512.cpp, while the zfpx and szq avx512 slots run the
+// AVX2 kernels. The accessor picks a table from the active SimdLevel on
 // every call, so set_simd_level() takes effect immediately. All builds
 // produce bit-identical streams: the wire format is frozen (plans, the
 // fuzz suite and the tuner cache all depend on it), which is pinned by the
@@ -82,12 +83,10 @@ const SzqKernels& szq_kernels();
 /// what the binary actually contains.
 ZfpxKernels scalar_zfpx_kernels();
 ZfpxKernels avx2_zfpx_kernels();
-ZfpxKernels avx512_zfpx_kernels();
 TrimKernels scalar_trim_kernels();
 TrimKernels avx2_trim_kernels();
 TrimKernels avx512_trim_kernels();
 SzqKernels scalar_szq_kernels();
 SzqKernels avx2_szq_kernels();
-SzqKernels avx512_szq_kernels();
 
 }  // namespace lossyfft::simd

@@ -35,8 +35,8 @@
 // streams throw the same recoverable Error the scalar per-bit reader
 // throws (via the hardened BitReader::skip / read_at bounds checks).
 //
-// Everything here is plain C++ on u64 words — both the AVX2 and AVX-512
-// TUs include it, and it compiles without any target flags.
+// Everything here is plain C++ on u64 words — it compiles without any
+// target flags.
 #pragma once
 
 #include <algorithm>

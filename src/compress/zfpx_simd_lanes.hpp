@@ -1,7 +1,5 @@
-// AVX2 lane helpers for the zfpx kernels, shared by the AVX2 and AVX-512
-// TUs (AVX-512 builds keep the 256-bit transforms for 4/16-blocks and
-// override only what wider registers genuinely improve). Include only
-// from TUs compiled with at least -mavx2; everything here is inline.
+// AVX2 lane helpers and encoder for the zfpx kernels. Include only from
+// TUs compiled with at least -mavx2; everything here is inline.
 //
 // Bit-identity with the scalar reference in zfpx.cpp is the contract, and
 // the word-at-a-time encoder leans on two exact equivalences:

@@ -85,10 +85,6 @@ struct Fft3dOptions {
   /// Decisions come from the persistent tune cache (LOSSYFFT_TUNE_CACHE)
   /// when warm, so steady-state plan construction runs no probes.
   bool autotune = false;
-  /// Per-reshape pack elision (ReshapeOptions::pack_elision): skip the
-  /// pack stage on ranks whose send sub-volumes are contiguous in the
-  /// source field. Byte-identical either way; false forces packing.
-  bool pack_elision = true;
   /// Coded-exchange parity per message group for every planned reshape
   /// (ReshapeOptions::exchange_parity): m > 0 ships m erasure-coded parity
   /// frames per round so targets reconstruct up to m missing / late /
@@ -108,7 +104,6 @@ struct Fft3dOptions {
     ro.osc_sync = autotune ? osc::OscSync::kAuto : osc_sync;
     ro.workers = reshape_workers;
     ro.batch = batch_fields < 1 ? 1 : batch_fields;
-    ro.pack_elision = pack_elision;
     ro.exchange_parity = exchange_parity;
     ro.fault_plan = fault_plan;
     return ro;

@@ -7,7 +7,6 @@
 #include "common/worker_pool.hpp"
 #include "compress/parallel_codec.hpp"
 #include "dfft/decomp.hpp"
-#include "minimpi/alltoall.hpp"
 #include "tuner/tuner.hpp"
 
 namespace lossyfft {
@@ -112,7 +111,6 @@ int resolve_workers(int requested) {
 const char* to_string(ExchangeBackend b) {
   switch (b) {
     case ExchangeBackend::kPairwise: return "pairwise";
-    case ExchangeBackend::kLinear: return "linear";
     case ExchangeBackend::kOsc: return "osc";
   }
   return "?";
@@ -166,9 +164,9 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
       recv_total_ + self_count == static_cast<std::uint64_t>(my_out.count()),
       "reshape: input boxes do not tile this rank's outbox");
   // Will this rank exchange through a persistent plan (codec / kOsc), or
-  // through the raw two-sided path? The fused raw pairwise exchange unpacks
-  // straight out of the sender's buffer, so recvbuf_ would be dead weight —
-  // leave it unallocated.
+  // through the raw pairwise rounds? Those unpack straight out of the
+  // sender's buffer, so recvbuf_ would be dead weight — leave it
+  // unallocated.
   bool planned = false;
   if constexpr (kReshapeDoubleBased<E>) {
     planned = options_.codec || options_.backend == ExchangeBackend::kOsc;
@@ -182,8 +180,6 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
                                      minimpi::ReduceOp::kMax) == 0;
     planned = !self_only_;
   }
-  fused_raw_ = !planned && options_.fused_raw &&
-               options_.backend == ExchangeBackend::kPairwise;
   if (options_.osc_sync == osc::OscSync::kAuto) {
     if (!planned) {
       // Nothing to tune without a plan: kAuto degrades to the inert default.
@@ -222,13 +218,14 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
   // Pack elision: when every nonzero sub-volume this rank sends off-rank
   // occupies one contiguous run of the source field, packing is an
   // identity copy. Rewrite the send displacements to field-linear element
-  // offsets and exchange straight out of `in` — every exchange layer
-  // (ExchangePlan, alltoallv, the fused pairwise rounds) addresses send
-  // data exclusively through (displacement, count) subspans and peers only
+  // offsets and exchange straight out of `in` — both exchange layers
+  // (ExchangePlan and the raw pairwise rounds) address send data
+  // exclusively through (displacement, count) subspans and peers only
   // learn counts, so the decision is rank-local and results are
   // byte-identical. The send view then spans the whole field (the
-  // self-block is not sent, so send_total_ falls short of it).
-  pack_elided_ = options_.pack_elision;
+  // self-block is not sent, so send_total_ falls short of it). Sends that
+  // are not contiguous keep the pack stage.
+  pack_elided_ = true;
   for (std::size_t r = 0; r < p && pack_elided_; ++r) {
     if (send_counts_[r] > 0 &&
         !subvolume_contiguous(my_in, send_boxes_[r])) {
@@ -245,13 +242,12 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
               : 0;
     }
   }
-  // Batched plans stage every field bank at once (the plan pins the whole
-  // recv span and the window replicates per field); unplanned paths run
-  // batches as per-field loops, so one bank suffices there.
-  const auto banks =
-      planned ? static_cast<std::size_t>(options_.batch) : std::size_t{1};
+  // Batches pack every field bank at once, and planned batches also land
+  // every bank (the plan pins the whole recv span and the window
+  // replicates per field).
+  const auto banks = static_cast<std::size_t>(options_.batch);
   if (!pack_elided_) sendbuf_.resize(send_total_ * banks);
-  if (!fused_raw_) recvbuf_.resize(recv_total_ * banks);
+  if (planned) recvbuf_.resize(recv_total_ * banks);
   // Pack/unpack fan-outs clamp against the staging volume: below the
   // bytes-per-shard floor the memcpy loops run serially on the rank
   // thread (submit/steal overhead beats the copies there).
@@ -264,18 +260,6 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
   unpack_shards_ = WorkerPool::effective_shards(
       options_.workers, static_cast<std::size_t>(recv_total_) * sizeof(E));
 
-  // Unit-scaled count/displacement arrays, fixed for the plan's lifetime.
-  byte_send_counts_.resize(p);
-  byte_send_displs_.resize(p);
-  byte_recv_counts_.resize(p);
-  byte_recv_displs_.resize(p);
-  constexpr std::uint64_t kEsz = sizeof(E);
-  for (std::size_t r = 0; r < p; ++r) {
-    byte_send_counts_[r] = send_counts_[r] * kEsz;
-    byte_send_displs_[r] = send_displs_[r] * kEsz;
-    byte_recv_counts_[r] = recv_counts_[r] * kEsz;
-    byte_recv_displs_[r] = recv_displs_[r] * kEsz;
-  }
   if constexpr (kReshapeDoubleBased<E>) {
     // Element views as doubles (complex<double> is two of them).
     constexpr std::uint64_t kDbl = sizeof(E) / sizeof(double);
@@ -309,7 +293,6 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
       oo.batch = options_.batch;
       oo.parity = options_.exchange_parity;
       oo.fault_plan = options_.fault_plan;
-      if (tuned_) oo.fused = tuned_->fused();
       const osc::PlanBackend backend =
           tuned_ ? tuned_->plan_backend()
                  : (options_.backend == ExchangeBackend::kOsc
@@ -326,100 +309,7 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
 
 template <typename E>
 void Reshape<E>::execute(std::span<const E> in, std::span<E> out) {
-  const Box3& my_in = all_in_[static_cast<std::size_t>(rank_)];
-  const Box3& my_out = all_out_[static_cast<std::size_t>(rank_)];
-  LFFT_REQUIRE(in.size() == static_cast<std::size_t>(my_in.count()),
-               "reshape: input span size mismatch");
-  LFFT_REQUIRE(out.size() == static_cast<std::size_t>(my_out.count()),
-               "reshape: output span size mismatch");
-  const Stopwatch watch;
-  if (!self_only_) exchange_off_rank(in, out);
-  copy_subvolume(my_in, my_out, self_box_, in.data(), out.data());
-  stats_.seconds += watch.seconds();
-}
-
-template <typename E>
-void Reshape<E>::exchange_off_rank(std::span<const E> in, std::span<E> out) {
-  const Box3& my_in = all_in_[static_cast<std::size_t>(rank_)];
-  const Box3& my_out = all_out_[static_cast<std::size_t>(rank_)];
-
-  // Pack per-destination sub-volumes (skipped entirely when the pack stage
-  // elided: the exchange reads the field directly). Destinations write
-  // disjoint staging slices, so they fan out across workers without
-  // coordination.
-  if (!pack_elided_) {
-    const auto pack_range = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t r = lo; r < hi; ++r) {
-        if (send_counts_[r] == 0) continue;
-        pack_subvolume(my_in, send_boxes_[r], in.data(),
-                       sendbuf_.data() + send_displs_[r]);
-      }
-    };
-    if (pack_shards_ > 1) {
-      WorkerPool::global().parallel_for(send_boxes_.size(), 1, pack_range,
-                                        pack_shards_);
-    } else {
-      pack_range(0, send_boxes_.size());
-    }
-  }
-  const std::span<const E> send =
-      pack_elided_ ? in
-                   : std::span<const E>(sendbuf_.data(),
-                                        static_cast<std::size_t>(send_total_));
-
-  // Exchange.
-  bool exchanged = false;
-  if constexpr (kReshapeDoubleBased<E>) {
-    if (plan_) {
-      exchanged = true;
-      constexpr std::size_t kDbl = sizeof(E) / sizeof(double);
-      // Bank 0 of the (possibly batch-sized) staging: the plan's
-      // single-field execute expects exactly one field image.
-      const std::span<const double> send_view(
-          reinterpret_cast<const double*>(send.data()), kDbl * send.size());
-      const std::span<double> recv_view(
-          reinterpret_cast<double*>(recvbuf_.data()),
-          static_cast<std::size_t>(kDbl * recv_total_));
-      const auto st = plan_->execute(send_view, recv_view);
-      stats_.accumulate(st);
-    }
-  }
-  if (!exchanged) {
-    // Raw two-sided path (also the only path for float-based fields).
-    const std::uint64_t sent = send_total_ * sizeof(E);
-    stats_.payload_bytes += sent;
-    stats_.wire_bytes += sent;
-    stats_.rounds += comm_.size();
-    stats_.messages += comm_.size() - 1;
-    if (fused_raw_) {
-      // Exchange and unpack are one pass; recvbuf_ does not exist.
-      execute_raw_fused(send, out);
-      return;
-    }
-    minimpi::alltoallv(comm_, std::as_bytes(send), byte_send_counts_,
-                       byte_send_displs_,
-                       std::as_writable_bytes(std::span<E>(recvbuf_)),
-                       byte_recv_counts_, byte_recv_displs_,
-                       options_.backend == ExchangeBackend::kLinear
-                           ? minimpi::AlltoallAlgorithm::kLinear
-                           : minimpi::AlltoallAlgorithm::kPairwise);
-  }
-
-  // Unpack: sources read disjoint staging slices and write disjoint
-  // sub-volumes of `out`.
-  const auto unpack_range = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t r = lo; r < hi; ++r) {
-      if (recv_counts_[r] == 0) continue;
-      unpack_subvolume(my_out, recv_boxes_[r], out.data(),
-                       recvbuf_.data() + recv_displs_[r]);
-    }
-  };
-  if (unpack_shards_ > 1) {
-    WorkerPool::global().parallel_for(recv_boxes_.size(), 1, unpack_range,
-                                      unpack_shards_);
-  } else {
-    unpack_range(0, recv_boxes_.size());
-  }
+  execute_batch(in, out, 1);
 }
 
 template <typename E>
@@ -433,21 +323,11 @@ void Reshape<E>::execute_batch(std::span<const E> in, std::span<E> out,
   const auto in_ext = static_cast<std::size_t>(my_in.count());
   const auto out_ext = static_cast<std::size_t>(my_out.count());
   LFFT_REQUIRE(in.size() == nf * in_ext,
-               "reshape: batch input must hold `fields` field images");
+               "reshape: input must hold `fields` inbox images");
   LFFT_REQUIRE(out.size() == nf * out_ext,
-               "reshape: batch output must hold `fields` field images");
-
-  // Unplanned paths (raw two-sided, float-based fields, self-only) have no
-  // synchronization epoch to amortize: the batch is a per-field loop.
-  if (!plan_ || fields == 1) {
-    for (std::size_t f = 0; f < nf; ++f) {
-      execute(in.subspan(f * in_ext, in_ext), out.subspan(f * out_ext, out_ext));
-    }
-    return;
-  }
-
-  if constexpr (kReshapeDoubleBased<E>) {
-    const Stopwatch watch;
+               "reshape: output must hold `fields` outbox images");
+  const Stopwatch watch;
+  if (!self_only_) {
     const auto p = send_boxes_.size();
 
     // Pack every field into its staging bank; (field, destination) items
@@ -471,73 +351,87 @@ void Reshape<E>::execute_batch(std::span<const E> in, std::span<E> out,
         pack_item(0, nf * p);
       }
     }
-
-    // One batched exchange: all field banks travel under a single fence /
-    // PSCW handshake sequence.
-    constexpr std::size_t kDbl = sizeof(E) / sizeof(double);
     const std::span<const E> send =
         pack_elided_ ? in
                      : std::span<const E>(
                            sendbuf_.data(),
                            static_cast<std::size_t>(send_total_) * nf);
-    const std::span<const double> send_view(
-        reinterpret_cast<const double*>(send.data()), kDbl * send.size());
-    const std::span<double> recv_view(
-        reinterpret_cast<double*>(recvbuf_.data()),
-        kDbl * static_cast<std::size_t>(recv_total_) * nf);
-    const auto st = plan_->execute_batch(send_view, recv_view, fields);
-    stats_.accumulate(st);
 
-    const auto unpack_item = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t k = lo; k < hi; ++k) {
-        const std::size_t f = k / p;
-        const std::size_t r = k % p;
-        if (recv_counts_[r] == 0) continue;
-        unpack_subvolume(my_out, recv_boxes_[r], out.data() + f * out_ext,
-                         recvbuf_.data() + f * recv_total_ + recv_displs_[r]);
+    if (!plan_) {
+      // The raw pairwise rounds have no synchronization epoch to amortize:
+      // a batch is a per-field loop.
+      const std::size_t send_ext = send.size() / nf;
+      for (std::size_t f = 0; f < nf; ++f) {
+        execute_raw_fused(send.subspan(f * send_ext, send_ext),
+                          out.subspan(f * out_ext, out_ext));
       }
-    };
-    if (unpack_shards_ > 1) {
-      WorkerPool::global().parallel_for(nf * p, 1, unpack_item,
-                                        unpack_shards_);
-    } else {
-      unpack_item(0, nf * p);
+    } else if constexpr (kReshapeDoubleBased<E>) {
+      // One batched exchange: all field banks travel under a single fence /
+      // PSCW handshake sequence.
+      constexpr std::size_t kDbl = sizeof(E) / sizeof(double);
+      const std::span<const double> send_view(
+          reinterpret_cast<const double*>(send.data()), kDbl * send.size());
+      const std::span<double> recv_view(
+          reinterpret_cast<double*>(recvbuf_.data()),
+          kDbl * static_cast<std::size_t>(recv_total_) * nf);
+      stats_.accumulate(plan_->execute_batch(send_view, recv_view, fields));
+
+      // Sources read disjoint staging slices and write disjoint
+      // sub-volumes of `out`.
+      const auto unpack_item = [&](std::size_t lo, std::size_t hi) {
+        for (std::size_t k = lo; k < hi; ++k) {
+          const std::size_t f = k / p;
+          const std::size_t r = k % p;
+          if (recv_counts_[r] == 0) continue;
+          unpack_subvolume(my_out, recv_boxes_[r], out.data() + f * out_ext,
+                           recvbuf_.data() + f * recv_total_ + recv_displs_[r]);
+        }
+      };
+      if (unpack_shards_ > 1) {
+        WorkerPool::global().parallel_for(nf * p, 1, unpack_item,
+                                          unpack_shards_);
+      } else {
+        unpack_item(0, nf * p);
+      }
     }
-    for (std::size_t f = 0; f < nf; ++f) {
-      copy_subvolume(my_in, my_out, self_box_, in.data() + f * in_ext,
-                     out.data() + f * out_ext);
-    }
-    stats_.seconds += watch.seconds();
   }
+  for (std::size_t f = 0; f < nf; ++f) {
+    copy_subvolume(my_in, my_out, self_box_, in.data() + f * in_ext,
+                   out.data() + f * out_ext);
+  }
+  stats_.seconds += watch.seconds();
 }
 
 template <typename E>
 void Reshape<E>::execute_raw_fused(std::span<const E> send, std::span<E> out) {
   // Pairwise rounds with the unpack fused into the receive: recv_consume
-  // hands us the message payload in place — the sender's sendbuf_ slice for
-  // rendezvous messages, the pooled envelope for eager ones — and we scatter
-  // its rows straight into `out`. The staged path's recvbuf_ copy is gone;
-  // results are byte-identical (same rows, same sources, one fewer hop).
+  // hands us the message payload in place — the sender's send slice for
+  // rendezvous messages, the pooled envelope for eager ones — and we
+  // scatter its rows straight into `out`, with no receive staging.
   const Box3& my_out = all_out_[static_cast<std::size_t>(rank_)];
   const int p = comm_.size();
+  const std::uint64_t bytes = send_total_ * sizeof(E);
+  stats_.payload_bytes += bytes;
+  stats_.wire_bytes += bytes;
+  stats_.rounds += p;
+  stats_.messages += p - 1;
   for (int j = 1; j < p; ++j) {
     const auto dst = static_cast<std::size_t>((rank_ + j) % p);
     const auto src = static_cast<std::size_t>((rank_ - j + p) % p);
     minimpi::Comm::Request req;
     bool sent = false;
-    if (byte_send_counts_[dst] > 0) {
+    if (send_counts_[dst] > 0) {
       req = comm_.isend(
-          std::as_bytes(send).subspan(byte_send_displs_[dst],
-                                      byte_send_counts_[dst]),
+          std::as_bytes(send.subspan(send_displs_[dst], send_counts_[dst])),
           static_cast<int>(dst), kReshapeFusedTag);
       sent = true;
     }
-    if (byte_recv_counts_[src] > 0) {
+    if (recv_counts_[src] > 0) {
       comm_.recv_consume(
           static_cast<int>(src), kReshapeFusedTag,
           [&](std::span<const std::byte> payload) {
-            LFFT_REQUIRE(payload.size() == byte_recv_counts_[src],
-                         "reshape: fused raw payload size mismatch");
+            LFFT_REQUIRE(payload.size() == recv_counts_[src] * sizeof(E),
+                         "reshape: raw payload size mismatch");
             unpack_subvolume_bytes(my_out, recv_boxes_[src], out.data(),
                                    payload.data());
           });

@@ -8,11 +8,11 @@
 // reaches a transport: execute() copies it straight from `in` to `out`, so
 // it is exact under every codec, and the exchange, its codec and its
 // ExchangeStats carry only off-rank bytes — what every MPI alltoallv does
-// locally. The off-rank overlaps go through one of three exchange backends:
-//   kPairwise / kLinear — two-sided minimpi alltoallv (the classical
-//                         MPI_Alltoallv baselines), optionally compressed;
-//   kOsc               — the paper's one-sided ring with pipelined
-//                         compression (Algorithm 3).
+// locally. The off-rank overlaps go through one of two exchange backends:
+//   kPairwise — two-sided pairwise rounds (the classical MPI_Alltoallv
+//               baseline), optionally compressed;
+//   kOsc      — the paper's one-sided ring with pipelined compression
+//               (Algorithm 3).
 // A planned reshape in which no rank sends anything off-rank (bricks whose
 // process grid equals the pencil grid, any 1-rank world) builds no plan
 // and runs no exchange at all.
@@ -39,7 +39,7 @@
 
 namespace lossyfft {
 
-enum class ExchangeBackend { kPairwise, kLinear, kOsc };
+enum class ExchangeBackend { kPairwise, kOsc };
 
 const char* to_string(ExchangeBackend b);
 
@@ -55,28 +55,11 @@ struct ReshapeOptions {
   /// construction through the model-guided tuner (src/tuner/): rank 0
   /// resolves the exchange signature against its calibrated cost model
   /// (or the LOSSYFFT_TUNE_CACHE persistent cache) and broadcasts the
-  /// decision — sync mode, one-/two-sided path, fused/staged codec
-  /// placement, and worker fan-out — so all ranks build the identical
-  /// plan. Results are byte-identical to any fixed configuration; only
-  /// speed changes. kAuto on an unplanned path (raw two-sided, float
-  /// fields) is inert.
+  /// decision — sync mode, one- or two-sided path, parity and worker
+  /// fan-out — so all ranks build the identical plan. Results are
+  /// byte-identical to any fixed configuration; only speed changes. kAuto
+  /// on an unplanned path (raw two-sided, float fields) is inert.
   osc::OscSync osc_sync = osc::OscSync::kFence;
-  /// Raw two-sided kPairwise path (no codec): fuse the receive-side unpack
-  /// into the transport — recv_consume reads each sub-volume straight from
-  /// the sender's published buffer (rendezvous) or the eager envelope, so
-  /// nothing stages through recvbuf_ and the buffer is never allocated.
-  /// false selects the staged alltoallv baseline; results are
-  /// byte-identical either way (reshape_test locks this down).
-  bool fused_raw = true;
-  /// Pack elision: when every nonzero sub-volume this rank sends off-rank
-  /// occupies one contiguous run of its source field (subvolume_contiguous),
-  /// the pack stage is a pure identity copy — skip it. Send displacements
-  /// become field-linear offsets, the exchange reads straight out of `in`,
-  /// and sendbuf_ is never allocated. The decision is rank-local (every
-  /// exchange layer addresses send data through (displacement, count)
-  /// subspans; peers only ever learn counts), and results are byte-
-  /// identical to the packed path. false forces packing (A/B benches).
-  bool pack_elision = true;
   /// Codec/pack worker shards: 1 = serial (default), 0 = the process-wide
   /// pool's full concurrency, k > 1 = fan out to k shards. Parallelism is
   /// an execution detail: packed bytes, wire bytes, and results are
@@ -134,22 +117,23 @@ class Reshape {
   }
 
   /// Execute: `in` holds inbox().count() elements, `out` receives
-  /// outbox().count(); the two must not overlap. Off-rank sub-volumes go
-  /// through the exchange, then the self-block is copied from `in` to
-  /// `out` (one memcpy when it is contiguous in both boxes, one per x-row
-  /// otherwise). Collective, except on a self-only reshape, whose execute
-  /// is that copy alone: no fence, barrier or message.
+  /// outbox().count(); the two must not overlap. execute_batch with one
+  /// field.
   void execute(std::span<const E> in, std::span<E> out);
 
   /// Redistribute `fields` same-layout fields
   /// (1 <= fields <= options.batch) in one exchange epoch. `in` holds
   /// `fields` consecutive inbox().count()-element images; `out` receives
-  /// the matching outbox().count()-element images. On the planned paths
-  /// every field is packed into its staging bank, the plan exchanges all
-  /// banks under a single fence / PSCW handshake sequence, and all banks
-  /// unpack — synchronization cost is per batch, not per field. Each
-  /// field's self-block is then copied from `in` to `out`. Results are
-  /// identical to `fields` back-to-back execute() calls. Collective.
+  /// the matching outbox().count()-element images. Every field is packed
+  /// into its staging bank (unless the pack elided); a planned reshape
+  /// exchanges all banks under a single fence / PSCW handshake sequence
+  /// and unpacks them, and the raw pairwise rounds run per field,
+  /// unpacking as they receive. Each field's self-block is then copied
+  /// from `in` to `out` (one memcpy when it is contiguous in both boxes,
+  /// one per x-row otherwise). Results are identical to `fields`
+  /// back-to-back execute() calls. Collective, except on a self-only
+  /// reshape, whose execute is that copy alone: no fence, barrier or
+  /// message.
   void execute_batch(std::span<const E> in, std::span<E> out, int fields);
 
   /// Exchange statistics accumulated over all execute() calls on this
@@ -179,8 +163,10 @@ class Reshape {
     return tuned_;
   }
 
-  /// True when this rank's pack stage elided (sends go straight from the
-  /// source field; sendbuf_ was never allocated).
+  /// True when this rank's pack stage elided: every nonzero sub-volume it
+  /// sends off-rank is one contiguous run of the source field, so sends go
+  /// straight from the field and sendbuf_ was never allocated. Rank-local
+  /// and byte-identical to packing.
   bool pack_elided() const { return pack_elided_; }
 
  private:
@@ -191,18 +177,15 @@ class Reshape {
   ReshapeOptions options_;
 
   // Precomputed overlap metadata (counts/displs in elements), plus the
-  // unit-scaled variants execute() hands to the exchange layer: double
-  // units for the codec/OSC path, bytes for the raw two-sided path. All
-  // hoisted here so execute() allocates nothing in steady state. The
-  // self entries' counts are zero: the self-block is self_box_.
+  // double-unit variants the codec/OSC plan is built on. All hoisted here
+  // so execute() allocates nothing in steady state. The self entries'
+  // counts are zero: the self-block is self_box_.
   Box3 self_box_;
   std::vector<Box3> send_boxes_, recv_boxes_;
   std::vector<std::uint64_t> send_counts_, send_displs_;
   std::vector<std::uint64_t> recv_counts_, recv_displs_;
   std::vector<std::uint64_t> wire_send_counts_, wire_send_displs_;
   std::vector<std::uint64_t> wire_recv_counts_, wire_recv_displs_;
-  std::vector<std::uint64_t> byte_send_counts_, byte_send_displs_;
-  std::vector<std::uint64_t> byte_recv_counts_, byte_recv_displs_;
   std::uint64_t send_total_ = 0, recv_total_ = 0;
 
   /// options_.codec wrapped in ParallelCodec when workers_ > 1.
@@ -216,24 +199,18 @@ class Reshape {
   /// Resolved at construction on planned paths: no rank sends anything
   /// off-rank, so there is no plan and execute() is the self copy alone.
   bool self_only_ = false;
-  /// Resolved at construction: the raw pairwise exchange runs fused
-  /// (recv_consume straight into `out`; recvbuf_ stays unallocated).
-  bool fused_raw_ = false;
   /// Resolved at construction: every send sub-volume is contiguous in the
   /// source field, so execute() skips packing and exchanges out of `in`
   /// via field-linear send displacements (sendbuf_ stays unallocated).
   bool pack_elided_ = false;
   /// The tuner's broadcast decision when osc_sync was kAuto on a planned
-  /// path (overrides backend / fused / workers at plan construction).
+  /// path (overrides backend / workers at plan construction).
   std::optional<tuner::TuneDecision> tuned_;
 
-  /// Pack, exchange and unpack the off-rank sub-volumes of one field.
-  void exchange_off_rank(std::span<const E> in, std::span<E> out);
-
-  /// The fused raw exchange: pairwise isend/recv_consume rounds that unpack
-  /// each source's sub-volume directly from the sender's buffer into `out`.
-  /// `send` is the field itself when the pack stage elided (sendbuf_
-  /// otherwise).
+  /// The unplanned exchange of one field: pairwise isend/recv_consume
+  /// rounds that unpack each source's sub-volume directly from the
+  /// sender's buffer into `out`. `send` is the field itself when the pack
+  /// stage elided (its sendbuf_ bank otherwise).
   void execute_raw_fused(std::span<const E> send, std::span<E> out);
 
   std::vector<E> sendbuf_, recvbuf_;

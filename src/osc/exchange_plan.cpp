@@ -17,7 +17,7 @@ namespace lossyfft::osc {
 
 namespace {
 
-// Two-sided fused exchange tag, in the collective tag space clear of both
+// Two-sided exchange tag, in the collective tag space clear of both
 // user tags and the alltoallv pairwise/Bruck tags at (1 << 27).
 constexpr int kFusedTag = (1 << 28) + 72;
 
@@ -85,9 +85,6 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   if (coded_) {
     LFFT_REQUIRE(options_.parity >= 0 && options_.parity <= coded::kMaxParity,
                  "ExchangePlan: parity must be in [0, coded::kMaxParity]");
-    LFFT_REQUIRE(backend_ != PlanBackend::kTwoSided || options_.fused,
-                 "ExchangePlan: coded two-sided exchange requires the fused "
-                 "path (OscOptions::fused)");
     parity_ = options_.parity;
     raw_ = false;
   }
@@ -121,8 +118,6 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   // Section V-B relies on); whole-message caps otherwise.
   send_wire_cap_.resize(p);
   recv_wire_cap_.resize(p);
-  send_wire_.resize(p);
-  recv_wire_.resize(p);
   for (std::size_t i = 0; i < p; ++i) {
     if (raw_) {
       send_wire_cap_[i] = sendcounts_[i] * sizeof(double);
@@ -144,16 +139,12 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
       send_wire_cap_[i] = codec_->max_compressed_bytes(sendcounts_[i]);
       recv_wire_cap_[i] = codec_->max_compressed_bytes(recvcounts_[i]);
     }
-    send_wire_[i] = send_wire_cap_[i];
-    recv_wire_[i] = recv_wire_cap_[i];
   }
 
   // Capacity-prefix staging offsets (shared by one-sided variable staging
   // and the whole two-sided send slab).
   stage_off_.resize(p);
-  rstage_off_.resize(p);
   std::uint64_t s_total = 0;
-  std::uint64_t r_total = 0;
   // Coded staging frames carry the checksum (one-sided: [csum][payload])
   // or the whole frame (two-sided: [header][csum][payload]) ahead of the
   // payload; grant every destination the frame prefix and keep offsets
@@ -163,35 +154,20 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
     stage_off_[i] = s_total;
     s_total += send_wire_cap_[i] + spad;
     if (coded_) s_total = align8(s_total);
-    rstage_off_[i] = r_total;
-    r_total += recv_wire_cap_[i];
   }
 
   if (backend_ == PlanBackend::kTwoSided) {
-    if (raw_) {
-      byte_sc_.resize(p);
-      byte_sd_.resize(p);
-      byte_rc_.resize(p);
-      byte_rd_.resize(p);
+    // Raw messages go out straight from the send span: no staging.
+    if (!raw_) stage_.resize(s_total);
+    if (coded_ && parity_ > 0) {
+      // Parity replica slab, reused per pairwise partner: m clean copies
+      // of the largest data frame can be in flight at once.
+      std::uint64_t fmax = 0;
       for (std::size_t i = 0; i < p; ++i) {
-        byte_sc_[i] = sendcounts_[i] * sizeof(double);
-        byte_sd_[i] = senddispls_[i] * sizeof(double);
-        byte_rc_[i] = recvcounts_[i] * sizeof(double);
-        byte_rd_[i] = recvdispls_[i] * sizeof(double);
+        fmax = std::max(fmax, send_wire_cap_[i]);
       }
-    } else {
-      stage_.resize(s_total);
-      if (!options_.fused) rstage_.resize(r_total);
-      if (coded_ && parity_ > 0) {
-        // Parity replica slab, reused per pairwise partner: m clean
-        // copies of the largest data frame can be in flight at once.
-        std::uint64_t fmax = 0;
-        for (std::size_t i = 0; i < p; ++i) {
-          fmax = std::max(fmax, send_wire_cap_[i]);
-        }
-        pstage_stride_ = align8(coded::kFrameBytes + fmax);
-        pstage_.resize(pstage_stride_ * static_cast<std::size_t>(parity_));
-      }
+      pstage_stride_ = align8(coded::kFrameBytes + fmax);
+      pstage_.resize(pstage_stride_ * static_cast<std::size_t>(parity_));
     }
     return;
   }
@@ -958,89 +934,16 @@ void ExchangePlan::rethrow_decode_error() {
 
 ExchangeStats ExchangePlan::execute_two_sided(std::span<const double> send,
                                               std::span<double> recv) {
-  const auto p = static_cast<std::size_t>(p_);
-  ExchangeStats stats;
-  stats.rounds = p_;
-
-  if (raw_) {
-    // Raw: hand the payload spans to alltoallv directly — with the
-    // rendezvous transport each message is a single receiver-side copy.
-    for (std::size_t i = 0; i < p; ++i) {
-      stats.payload_bytes += byte_sc_[i];
-      stats.wire_bytes += byte_sc_[i];
-      if (sendcounts_[i] > 0) ++stats.messages;
-    }
-    minimpi::alltoallv(comm_, std::as_bytes(send), byte_sc_, byte_sd_,
-                       std::as_writable_bytes(recv), byte_rc_, byte_rd_,
-                       minimpi::AlltoallAlgorithm::kPairwise);
-    stats.chunks_issued = stats.messages;
-    return stats;
-  }
-
-  if (options_.fused) {
-    return coded_ ? execute_two_sided_coded(send, recv)
-                  : execute_two_sided_fused(send, recv);
-  }
-
-  // --- Unfused baseline: encode all, pairwise alltoallv, decode all -------
-  // Kept selectable (OscOptions::fused = false) as the measured ablation
-  // baseline for the fused path.
-  for (std::size_t i = 0; i < p; ++i) {
-    stats.payload_bytes += sendcounts_[i] * sizeof(double);
-    if (sendcounts_[i] > 0) ++stats.messages;
-  }
-  const auto compress_dst = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      const std::size_t used = codec_->compress(
-          send.subspan(senddispls_[i], sendcounts_[i]),
-          std::span<std::byte>(stage_.data() + stage_off_[i],
-                               send_wire_cap_[i]));
-      send_wire_[i] = fixed_ ? send_wire_cap_[i] : used;
-    }
-  };
-  if (workers_ > 1) {
-    WorkerPool::global().parallel_for(p, 1, compress_dst, workers_);
-  } else {
-    compress_dst(0, p);
-  }
-  for (std::size_t i = 0; i < p; ++i) stats.wire_bytes += send_wire_[i];
-  if (!fixed_) {
-    minimpi::alltoall(
-        comm_, std::as_bytes(std::span<const std::uint64_t>(send_wire_)),
-        std::as_writable_bytes(std::span<std::uint64_t>(recv_wire_)),
-        sizeof(std::uint64_t));
-  }
-  minimpi::alltoallv(comm_, stage_, send_wire_, stage_off_, rstage_,
-                     recv_wire_, rstage_off_,
-                     minimpi::AlltoallAlgorithm::kPairwise);
-  const auto decompress_src = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t s = lo; s < hi; ++s) {
-      if (recvcounts_[s] == 0) continue;
-      codec_->decompress(
-          std::span<const std::byte>(rstage_.data() + rstage_off_[s],
-                                     recv_wire_[s]),
-          recv.subspan(recvdispls_[s], recvcounts_[s]));
-    }
-  };
-  if (workers_ > 1) {
-    WorkerPool::global().parallel_for(p, 1, decompress_src, workers_);
-  } else {
-    decompress_src(0, p);
-  }
-  stats.chunks_issued = stats.messages;
-  return stats;
-}
-
-ExchangeStats ExchangePlan::execute_two_sided_fused(
-    std::span<const double> send, std::span<double> recv) {
+  if (coded_) return execute_two_sided_coded(send, recv);
   // Pairwise exchange with the codec fused into the transport: encode runs
   // inside isend_produce (straight into the eager slab, or into this
   // plan's pinned staging published zero-copy), decode runs inside
   // recv_consume (straight out of the sender's buffer). One codec pass per
   // direction, no intermediate wire buffers — the two-sided compressed
-  // path at the one-sided raw path's copy count. Wire bytes are identical
-  // to the unfused baseline; peers agree on which pairs exchange because
-  // count knowledge is symmetric.
+  // path at the one-sided raw path's copy count. A raw message is an isend
+  // of the send span itself, so at rendezvous sizes its only copy is the
+  // receiver's IdentityCodec decode. Peers agree on which pairs exchange
+  // because count knowledge is symmetric.
   const auto p = static_cast<std::size_t>(p_);
   const int me = comm_.rank();
   ExchangeStats stats;
@@ -1050,17 +953,22 @@ ExchangeStats ExchangePlan::execute_two_sided_fused(
     if (sendcounts_[i] > 0) ++stats.messages;
   }
 
-  // Self message: local codec round trip (kept — the exchange must stay
-  // byte-identical to the staged/one-sided paths, lossiness included).
+  // Self message: a local codec round trip (kept — the exchange must stay
+  // byte-identical to the one-sided paths, lossiness included); raw mode
+  // decodes the send span itself, one copy.
   const auto m = static_cast<std::size_t>(me);
   if (sendcounts_[m] > 0) {
-    std::span<std::byte> staging(stage_.data() + stage_off_[m],
-                                 send_wire_cap_[m]);
-    const std::size_t used = codec_->compress(
-        send.subspan(senddispls_[m], sendcounts_[m]), staging);
-    stats.wire_bytes += used;
-    codec_->decompress(std::span<const std::byte>(staging.data(), used),
-                       recv.subspan(recvdispls_[m], recvcounts_[m]));
+    const std::span<const double> block =
+        send.subspan(senddispls_[m], sendcounts_[m]);
+    std::span<const std::byte> wire = std::as_bytes(block);
+    if (!raw_) {
+      std::byte* const staging = stage_.data() + stage_off_[m];
+      wire = std::span<const std::byte>(
+          staging, codec_->compress(block, std::span<std::byte>(
+                                               staging, send_wire_cap_[m])));
+    }
+    stats.wire_bytes += wire.size();
+    codec_->decompress(wire, recv.subspan(recvdispls_[m], recvcounts_[m]));
     if (recvcounts_[m] > 0) arrival_time_[m] = now_seconds();
   }
 
@@ -1070,29 +978,36 @@ ExchangeStats ExchangePlan::execute_two_sided_fused(
     minimpi::Comm::Request req;
     bool sent = false;
     if (sendcounts_[dst] > 0) {
-      std::span<std::byte> staging(stage_.data() + stage_off_[dst],
-                                   send_wire_cap_[dst]);
-      if (fixed_) {
-        // Size is count-derived: the transport can place the encode.
-        req = comm_.isend_produce(
-            send_wire_cap_[dst], staging, static_cast<int>(dst), kFusedTag,
-            [&](std::span<std::byte> out) {
-              // Whole-message encodes may undershoot the cap on tail
-              // packing; the message still travels at cap size, like the
-              // staged baseline (decoders read only what they need).
-              const std::size_t used = codec_->compress(
-                  send.subspan(senddispls_[dst], sendcounts_[dst]), out);
-              LFFT_ASSERT(used <= out.size());
-            });
-        stats.wire_bytes += send_wire_cap_[dst];
+      const std::span<const double> block =
+          send.subspan(senddispls_[dst], sendcounts_[dst]);
+      if (raw_) {
+        req = comm_.isend(std::as_bytes(block), static_cast<int>(dst),
+                          kFusedTag);
+        stats.wire_bytes += block.size_bytes();
       } else {
-        // Variable size is known only after the encode: stage first, then
-        // publish (still zero intermediate copies at rendezvous sizes).
-        const std::size_t used = codec_->compress(
-            send.subspan(senddispls_[dst], sendcounts_[dst]), staging);
-        req = comm_.isend(std::span<const std::byte>(staging.data(), used),
-                          static_cast<int>(dst), kFusedTag);
-        stats.wire_bytes += used;
+        const std::span<std::byte> staging(stage_.data() + stage_off_[dst],
+                                           send_wire_cap_[dst]);
+        if (fixed_) {
+          // Size is count-derived: the transport can place the encode.
+          req = comm_.isend_produce(
+              send_wire_cap_[dst], staging, static_cast<int>(dst), kFusedTag,
+              [&](std::span<std::byte> out) {
+                // Whole-message encodes may undershoot the cap on tail
+                // packing; the message still travels at cap size
+                // (decoders read only what they need).
+                const std::size_t used = codec_->compress(block, out);
+                LFFT_ASSERT(used <= out.size());
+              });
+          stats.wire_bytes += send_wire_cap_[dst];
+        } else {
+          // Variable size is known only after the encode: stage first,
+          // then publish (still zero intermediate copies at rendezvous
+          // sizes).
+          const std::size_t used = codec_->compress(block, staging);
+          req = comm_.isend(std::span<const std::byte>(staging.data(), used),
+                            static_cast<int>(dst), kFusedTag);
+          stats.wire_bytes += used;
+        }
       }
       sent = true;
     }
@@ -1103,7 +1018,7 @@ ExchangeStats ExchangePlan::execute_two_sided_fused(
                                payload, recv.subspan(recvdispls_[src],
                                                      recvcounts_[src]));
                          });
-      // Per-partner completion: the fused pairwise loop's arrival event.
+      // Per-partner completion: the pairwise loop's arrival event.
       arrival_time_[src] = now_seconds();
     }
     if (sent) comm_.wait(req);
@@ -1279,15 +1194,12 @@ std::uint64_t ExchangePlan::footprint_bytes() const {
   std::uint64_t b = 0;
   b += window_store_.capacity();
   b += stage_.capacity();
-  b += rstage_.capacity();
   b += rec_scratch_.capacity();
   b += pstage_.capacity();
   b += (sendcounts_.capacity() + senddispls_.capacity() +
         recvcounts_.capacity() + recvdispls_.capacity() +
         send_wire_cap_.capacity() + recv_wire_cap_.capacity() +
-        send_wire_.capacity() + recv_wire_.capacity() +
-        stage_off_.capacity() + rstage_off_.capacity() + byte_sc_.capacity() +
-        byte_sd_.capacity() + byte_rc_.capacity() + byte_rd_.capacity() +
+        send_wire_.capacity() + stage_off_.capacity() +
         slot_offset_.capacity() + target_offset_.capacity() +
         target_bank_stride_.capacity() + coded_roff_.capacity() +
         coded_poff_.capacity() + coded_L_.capacity() + rec_off_.capacity()) *

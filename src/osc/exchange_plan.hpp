@@ -11,8 +11,8 @@
 //  * the slot-offset u64 all-to-all, run once at plan time. Slots are laid
 //    out at max_compressed_bytes capacities, so the layout is count-derived
 //    even for variable-rate codecs;
-//  * codec staging slabs, chunk partitions, ring schedule, PSCW source
-//    lists, and byte-unit count/displ arrays.
+//  * codec staging slabs, chunk partitions, ring schedule and PSCW source
+//    lists.
 //
 // Wire format of a codec-mode window slot: one 8-aligned u64 header word
 // followed by the payload at max_compressed_bytes capacity. The header
@@ -36,11 +36,12 @@
 // tests/exchange_plan_test.cpp. (With workers > 1 the pipelined compress /
 // decode jobs allocate their task control blocks on submission.)
 //
-// The two-sided path additionally fuses the codec into the transport
+// The two-sided path fuses the codec into the transport
 // (Comm::isend_produce / recv_consume): the sender encodes straight into
 // the eager slab or its pinned staging, and the receiver decodes straight
 // out of the sender's published buffer, collapsing encode+copy+decode to a
-// single pass — the same copy count as the one-sided raw path.
+// single pass — the same copy count as the one-sided raw path. Raw
+// messages publish the send span itself.
 //
 // Construction, execution, and destruction of a one-sided plan are
 // collective over the communicator (window lifecycle + offset exchange):
@@ -65,7 +66,7 @@ namespace lossyfft::osc {
 /// Which transport the plan drives.
 enum class PlanBackend {
   kOneSided,  // Algorithm 3: node-aware ring of puts over the cached window.
-  kTwoSided,  // Pairwise two-sided exchange (fused-rendezvous codec path).
+  kTwoSided,  // Pairwise two-sided exchange, codec fused into the transport.
 };
 
 class ExchangePlan {
@@ -108,7 +109,7 @@ class ExchangePlan {
   /// Accumulated per-source arrival lag (seconds behind the epoch's first
   /// arrival, summed over epochs), one slot per communicator rank. Only the
   /// per-source observability paths record it — PSCW one-sided (a source is
-  /// stamped when its round's exposure closes) and the fused two-sided
+  /// stamped when its round's exposure closes) and the uncoded two-sided
   /// pairwise loop (stamped per recv_consume); fence epochs end in one
   /// global event and contribute nothing. Normalize by
   /// ExchangeStats::skew_epochs for a per-epoch figure. Local, not
@@ -143,8 +144,6 @@ class ExchangePlan {
                                   std::span<double> recv, int fields);
   ExchangeStats execute_two_sided(std::span<const double> send,
                                   std::span<double> recv);
-  ExchangeStats execute_two_sided_fused(std::span<const double> send,
-                                        std::span<double> recv);
   ExchangeStats execute_two_sided_coded(std::span<const double> send,
                                         std::span<double> recv);
 
@@ -191,12 +190,11 @@ class ExchangePlan {
   std::vector<std::uint64_t> recvcounts_, recvdispls_;
   // Wire capacities (bytes, max_compressed_bytes-based; exact when fixed_).
   std::vector<std::uint64_t> send_wire_cap_, recv_wire_cap_;
-  // Per-execute actual wire sizes (variable codecs; == cap when fixed_).
-  std::vector<std::uint64_t> send_wire_, recv_wire_;
-  // Capacity-prefix byte offsets into the staging slabs.
-  std::vector<std::uint64_t> stage_off_, rstage_off_;
-  // Two-sided raw: counts/displs rescaled to bytes once.
-  std::vector<std::uint64_t> byte_sc_, byte_sd_, byte_rc_, byte_rd_;
+  // One-sided variable codecs: per-execute actual wire sizes, one bank of
+  // p per batch field.
+  std::vector<std::uint64_t> send_wire_;
+  // Capacity-prefix byte offsets into the staging slab.
+  std::vector<std::uint64_t> stage_off_;
 
   // One-sided state. Codec-mode slot_offset_[i] points at source i's header
   // word; the payload follows at +kHeaderWordBytes (raw mode exposes the
@@ -222,7 +220,6 @@ class ExchangePlan {
   // every round, exactly the old per-call arena footprint); one-sided
   // variable and two-sided = all destinations at capacity offsets.
   std::vector<std::byte> stage_;
-  std::vector<std::byte> rstage_;  // Two-sided unfused receive slab.
 
   // Arrival-skew scratch, pre-sized to p at construction so steady-state
   // stamping allocates nothing: arrival_time_[s] is source s's completion

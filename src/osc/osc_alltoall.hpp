@@ -54,12 +54,6 @@ struct OscOptions {
   /// executed for real instead of modeled. Wire bytes are identical at
   /// every setting.
   int workers = 1;
-  /// Two-sided codec path only: fuse the codec into the transport
-  /// (encode inside isend_produce, decode inside recv_consume — one codec
-  /// pass per direction, no intermediate wire buffers). false restores the
-  /// staged encode+copy+decode baseline for A/B measurement. Received
-  /// values and wire byte counts are identical either way.
-  bool fused = true;
   /// Batch capacity of the plan (>= 1): how many same-layout fields one
   /// execute_batch() may exchange per synchronization epoch. The pinned
   /// receive span at construction holds `batch` consecutive fields; the
@@ -76,10 +70,10 @@ struct OscOptions {
   /// path; recovery is byte-identical to the clean run. Steady-state
   /// execute() stays zero-collective and zero-allocation with parity
   /// enabled (fault handling itself may allocate — faults are
-  /// exceptional). m ∈ [0, coded::kMaxParity]; two-sided requires `fused`.
+  /// exceptional). m ∈ [0, coded::kMaxParity].
   int parity = 0;
   /// Deterministic fault injection (tests / soak): non-owning pointer to a
-  /// plan consulted per put (one-sided) or per send (two-sided fused).
+  /// plan consulted per put (one-sided) or per send (two-sided).
   /// Installing a plan forces the coded (framed + checksummed) wire even
   /// at parity == 0, so every injected fault is *detected* — with m = 0 a
   /// faulted chunk is an unrecoverable erasure and execute() throws a loud
@@ -111,7 +105,7 @@ struct ExchangeStats {
   std::uint64_t straggler_waits = 0;  // Recoveries that had to flush
                                       // delayed puts before reconstructing.
   // Arrival-skew counters (per-source observability paths only: PSCW
-  // one-sided and the fused two-sided pairwise loop, where each source's
+  // one-sided and the uncoded two-sided pairwise loop, where each source's
   // completion is individually visible; fence mode sees one global event
   // and records nothing). The measurement hook for feeding measured
   // straggler statistics back into the tuner's straggler constants.

@@ -30,7 +30,9 @@ namespace lossyfft::serve {
 
 /// Bumped on any incompatible frame-layout change; OpenSession carries it
 /// and the daemon rejects mismatches before touching the rest of the body.
-constexpr std::uint32_t kProtocolVersion = 1;
+/// Version 2: the SessionConfig backend byte follows ExchangeBackend, whose
+/// kOsc moved from 2 to 1 when the linear backend was retired.
+constexpr std::uint32_t kProtocolVersion = 2;
 
 /// Default per-frame payload ceiling: a 256^3 complex<double> field plus
 /// headers fits; a hostile 4 GiB length prefix does not.

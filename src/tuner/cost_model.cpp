@@ -36,7 +36,6 @@ const char* to_string(TunePath p) {
     case TunePath::kOneSidedFence: return "osc-fence";
     case TunePath::kOneSidedPscw: return "osc-pscw";
     case TunePath::kTwoSidedFused: return "twosided-fused";
-    case TunePath::kTwoSidedStaged: return "twosided-staged";
   }
   return "?";
 }
@@ -74,15 +73,9 @@ std::vector<TuneCandidate> candidate_space(const ExchangeSignature& sig,
   if (straggler) parities.insert(parities.end(), {1, 2});
   for (const TunePath path :
        {TunePath::kOneSidedFence, TunePath::kOneSidedPscw,
-        TunePath::kTwoSidedFused, TunePath::kTwoSidedStaged}) {
-    // Raw exchanges have no staged/fused distinction (no codec pass).
-    if (raw && path == TunePath::kTwoSidedStaged) continue;
+        TunePath::kTwoSidedFused}) {
     for (const int w : fans) {
-      for (const int m : parities) {
-        // The staged two-sided baseline has no coded wire format.
-        if (m > 0 && path == TunePath::kTwoSidedStaged) continue;
-        out.push_back({path, w, m});
-      }
+      for (const int m : parities) out.push_back({path, w, m});
     }
   }
   return out;
@@ -158,35 +151,15 @@ double evaluate(const ExchangeSignature& sig, const TuneCandidate& cand,
   const double encode = in_bytes / (k.encode_bw * speedup);
   double decode = in_bytes / (k.decode_bw * speedup);
 
-  double extra = 0.0;
-  switch (cand.path) {
-    case TunePath::kOneSidedFence:
-      // Decode starts only after the final fence: fully exposed.
-      break;
-    case TunePath::kOneSidedPscw: {
-      // Target-side pipelined decode: each round's slots decode while the
-      // remaining rounds put, exposing only the final round's share.
-      const auto rounds = static_cast<double>(
-          std::max<std::size_t>(1, sched.phases.size()));
-      decode /= rounds;
-      break;
-    }
-    case TunePath::kTwoSidedFused:
-      // Encode/decode run inside the transport: no staging copies.
-      break;
-    case TunePath::kTwoSidedStaged: {
-      // Staged baseline: one extra staging copy each way, plus the u64
-      // size all-to-all variable-rate codecs pay per execute.
-      const double wire_total = static_cast<double>(wire_pair) *
-                                static_cast<double>(std::max(1, sig.p - 1));
-      extra += 2.0 * wire_total / k.copy_bw;
-      if (!sig.codec->fixed_size()) {
-        extra += static_cast<double>(sig.p) * k.net.msg_overhead_two_sided;
-      }
-      break;
-    }
+  // Fence and two-sided decodes are fully exposed (after the final fence,
+  // or inside the transport with no staging copies). PSCW pipelines the
+  // target-side decode: each round's slots decode while the remaining
+  // rounds put, exposing only the final round's share.
+  if (cand.path == TunePath::kOneSidedPscw) {
+    decode /= static_cast<double>(
+        std::max<std::size_t>(1, sched.phases.size()));
   }
-  return encode + net_seconds + sync_extra + decode + extra + parity_extra;
+  return encode + net_seconds + sync_extra + decode + parity_extra;
 }
 
 TuneDecision decide(const ExchangeSignature& sig, const CostConstants& k) {

@@ -1,8 +1,8 @@
 // Tuner layer 1: the candidate space and its cost evaluator.
 //
 // A candidate is one full execution configuration of a repeated exchange —
-// transport path (one-sided fence / one-sided PSCW / two-sided fused /
-// two-sided staged) plus codec/pack worker fan-out. Each candidate is
+// transport path (one-sided fence / one-sided PSCW / two-sided fused)
+// plus codec/pack worker fan-out. Each candidate is
 // priced by feeding the *exact* communication schedule the ExchangePlan
 // would emit (osc::schedule_osc_ring / osc::schedule_pairwise, the same
 // builders the plan's executor walks) through netsim::simulate, then
@@ -60,13 +60,12 @@ struct TuneCandidate {
   int parity = 0;
 };
 
-/// The candidate grid for a signature: all four paths crossed with
+/// The candidate grid for a signature: all three paths crossed with
 /// power-of-two fan-outs up to the pool concurrency (raw exchanges carry
 /// no codec work, so only fan-out 1 is emitted for them). When the
 /// constants carry a straggler model (straggler_prob or rank delays), the
 /// grid is additionally crossed with parity m ∈ {0, 1, 2} — the coded
-/// exchange's wire/encode overhead against its absorbed stalls (the
-/// two-sided staged path has no coded wire and stays at m = 0).
+/// exchange's wire/encode overhead against its absorbed stalls.
 std::vector<TuneCandidate> candidate_space(const ExchangeSignature& sig,
                                            const CostConstants& k);
 

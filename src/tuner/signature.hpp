@@ -40,7 +40,6 @@ enum class TunePath : int {
   kOneSidedFence = 0,
   kOneSidedPscw = 1,
   kTwoSidedFused = 2,
-  kTwoSidedStaged = 3,
 };
 
 const char* to_string(TunePath p);
@@ -71,7 +70,6 @@ struct TuneDecision {
     return path == TunePath::kOneSidedPscw ? osc::OscSync::kPscw
                                            : osc::OscSync::kFence;
   }
-  bool fused() const { return path != TunePath::kTwoSidedStaged; }
 };
 
 }  // namespace lossyfft::tuner

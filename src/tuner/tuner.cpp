@@ -161,7 +161,7 @@ void Tuner::parse_cache(std::istream& in, bool keep_existing) {
           rendezvous >> seconds)) {
       break;
     }
-    if (path < 0 || path > static_cast<int>(TunePath::kTwoSidedStaged) ||
+    if (path < 0 || path > static_cast<int>(TunePath::kTwoSidedFused) ||
         workers < 1 || parity < 0) {
       continue;  // Tolerate a corrupt row without dropping the rest.
     }

@@ -87,7 +87,9 @@ class Tuner {
   /// reshapes copy them locally and only off-rank bytes pay codec and net.
   /// Version 8 invalidated rows calibrated before the avx512 BitTrim
   /// kernels moved to byte permutes (4-5x faster at generic widths).
-  static constexpr int kCacheVersion = 8;
+  /// Version 9 dropped the staged two-sided path (its path token 3 no
+  /// longer parses) and the avx512 zfpx kernels.
+  static constexpr int kCacheVersion = 9;
 
  private:
   std::string key(const ExchangeSignature& sig) const;

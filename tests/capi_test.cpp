@@ -117,6 +117,9 @@ TEST(CApi, InvalidArgumentsReportErrors) {
                             nullptr);
                   EXPECT_EQ(lossyfft_plan_c2c(comm, 4, 4, 4, 1.0, 99),
                             nullptr);
+                  // 1 was the retired linear backend.
+                  EXPECT_EQ(lossyfft_plan_c2c(comm, 4, 4, 4, 1.0, 1),
+                            nullptr);
                 },
                 nullptr),
             0);

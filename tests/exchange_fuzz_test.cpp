@@ -1,9 +1,10 @@
 // Randomized exchange conformance suite: every transport path must produce
-// byte-identical receive buffers for the same layout and codec. The serial
-// two-sided staged plan is the reference; the fused two-sided, one-sided
-// fence, one-sided PSCW (inline and pool-pipelined decode) plans must match
-// it bit for bit — lossy codecs included, since lossiness is decided at
-// encode time and every path ships the same encoded stream.
+// byte-identical receive buffers for the same layout and codec. The
+// reference is the test-only naive exchange (naive_exchange.hpp: whole-
+// block encode, alltoallv, whole-block decode); the two-sided, one-sided
+// fence and one-sided PSCW (inline and pool-pipelined decode) plans must
+// match it bit for bit — lossy codecs included, since lossiness is decided
+// at encode time and every path ships the same encoded stream.
 //
 // Layouts are drawn from common/rng seeded by LOSSYFFT_FUZZ_SEED (decimal;
 // default fixed so `ctest -L fuzz` is reproducible in tier-1, overridable
@@ -30,6 +31,7 @@
 #include "compress/zfpx.hpp"
 #include "dfft/fft3d.hpp"
 #include "minimpi/runtime.hpp"
+#include "naive_exchange.hpp"
 #include "osc/exchange_plan.hpp"
 #include "osc/osc_alltoall.hpp"
 
@@ -115,17 +117,15 @@ struct PathSpec {
   const char* name;
   PlanBackend backend;
   OscSync sync;
-  bool fused;
   int workers;
 };
 
-// The conformance matrix: reference first.
+// The conformance matrix: every plan path, uncoded and coded.
 constexpr PathSpec kPaths[] = {
-    {"twosided-staged", PlanBackend::kTwoSided, OscSync::kFence, false, 1},
-    {"twosided-fused", PlanBackend::kTwoSided, OscSync::kFence, true, 1},
-    {"osc-fence", PlanBackend::kOneSided, OscSync::kFence, false, 1},
-    {"osc-pscw", PlanBackend::kOneSided, OscSync::kPscw, false, 1},
-    {"osc-pscw-pool", PlanBackend::kOneSided, OscSync::kPscw, false, 2},
+    {"twosided", PlanBackend::kTwoSided, OscSync::kFence, 1},
+    {"osc-fence", PlanBackend::kOneSided, OscSync::kFence, 1},
+    {"osc-pscw", PlanBackend::kOneSided, OscSync::kPscw, 1},
+    {"osc-pscw-pool", PlanBackend::kOneSided, OscSync::kPscw, 2},
 };
 
 struct CodecCase {
@@ -148,41 +148,37 @@ std::vector<CodecCase> codec_cases(Xoshiro256& rng) {
 }
 
 // Run one (layout, codec) configuration through every path twice (plan
-// reuse) and demand bitwise identity against the staged reference.
+// reuse) and demand bitwise identity against the naive reference.
 void check_conformance(Comm& comm, std::uint64_t seed, bool self_only,
                        int gpn, const CodecCase& cc) {
   const int p = comm.size();
   auto ref = make_fuzz_layout(seed, p, comm.rank(), self_only);
+  naive_exchange(comm, cc.codec, ref.send, ref.sc, ref.sd, ref.recv, ref.rc,
+                 ref.rd);
   OscOptions base;
   base.codec = cc.codec;
   base.gpus_per_node = gpn;
   base.chunks = 1 + static_cast<int>(seed % 4);
 
-  std::vector<double> ref_recv;
   for (const PathSpec& ps : kPaths) {
     auto l = make_fuzz_layout(seed, p, comm.rank(), self_only);
     OscOptions o = base;
     o.sync = ps.sync;
-    o.fused = ps.fused;
     o.workers = ps.workers;
     ExchangePlan plan(comm, ps.backend, l.sc, l.sd, l.rc, l.rd,
                       std::span<double>(l.recv), o);
     for (int it = 0; it < 2; ++it) {
       std::fill(l.recv.begin(), l.recv.end(), -999.0);
       plan.execute(l.send, l.recv);
-      if (ref_recv.empty()) {
-        ref_recv = l.recv;  // First execute of the staged reference.
-        continue;
-      }
       // EXPECT (not ASSERT): plans are collective, so every rank must keep
       // walking the same construct/execute sequence even after a mismatch —
       // an early return here would deadlock the other ranks. Cap the spam.
-      EXPECT_EQ(l.recv.size(), ref_recv.size());
+      EXPECT_EQ(l.recv.size(), ref.recv.size());
       int reported = 0;
-      for (std::size_t i = 0; i < ref_recv.size() && reported < 5; ++i) {
-        if (l.recv[i] != ref_recv[i]) {
+      for (std::size_t i = 0; i < ref.recv.size() && reported < 5; ++i) {
+        if (l.recv[i] != ref.recv[i]) {
           ++reported;
-          EXPECT_EQ(l.recv[i], ref_recv[i])
+          EXPECT_EQ(l.recv[i], ref.recv[i])
               << "path=" << ps.name << " codec=" << cc.name << " p=" << p
               << " gpn=" << gpn << " seed=" << seed << " it=" << it
               << " i=" << i;
@@ -194,14 +190,13 @@ void check_conformance(Comm& comm, std::uint64_t seed, bool self_only,
   // Exactness oracle for the non-lossy classes: the reference itself must
   // deliver the sender-generated block values untouched.
   if (!cc.codec || cc.name == "lossless") {
-    auto l = make_fuzz_layout(seed, p, comm.rank(), self_only);
     std::vector<double> expect(64);
     for (int s = 0; s < p; ++s) {
       const auto i = static_cast<std::size_t>(s);
-      expect.resize(l.rc[i]);
+      expect.resize(ref.rc[i]);
       fill_block(seed, s, comm.rank(), expect);
-      for (std::uint64_t k = 0; k < l.rc[i]; ++k) {
-        EXPECT_EQ(ref_recv[l.rd[i] + k], expect[k])
+      for (std::uint64_t k = 0; k < ref.rc[i]; ++k) {
+        EXPECT_EQ(ref.recv[ref.rd[i] + k], expect[k])
             << "codec=" << cc.name << " src=" << s << " k=" << k;
       }
     }
@@ -310,14 +305,6 @@ minimpi::FaultPlan make_fuzz_fault_plan(std::uint64_t seed, int p,
   return fp;
 }
 
-// Coded-capable paths (staged two-sided cannot carry parity frames).
-constexpr PathSpec kCodedPaths[] = {
-    {"twosided-fused", PlanBackend::kTwoSided, OscSync::kFence, true, 1},
-    {"osc-fence", PlanBackend::kOneSided, OscSync::kFence, false, 1},
-    {"osc-pscw", PlanBackend::kOneSided, OscSync::kPscw, false, 1},
-    {"osc-pscw-pool", PlanBackend::kOneSided, OscSync::kPscw, false, 2},
-};
-
 class ExchangeFuzzCoded : public ::testing::TestWithParam<int> {};
 
 TEST_P(ExchangeFuzzCoded, FaultedAndCleanCodedRunsMatchUncodedBitwise) {
@@ -332,17 +319,14 @@ TEST_P(ExchangeFuzzCoded, FaultedAndCleanCodedRunsMatchUncodedBitwise) {
         make_fuzz_fault_plan(fault_seed() + static_cast<std::uint64_t>(p), p,
                              kEpochs);
     for (const CodecCase& cc : codecs) {
-      // Uncoded one-sided reference.
+      // Uncoded naive reference.
       auto ref = make_fuzz_layout(seed, p, comm.rank(), false);
+      naive_exchange(comm, cc.codec, ref.send, ref.sc, ref.sd, ref.recv,
+                     ref.rc, ref.rd);
       OscOptions base;
       base.codec = cc.codec;
       base.gpus_per_node = 2;
       base.chunks = 1 + static_cast<int>(seed % 4);
-      {
-        ExchangePlan rp(comm, PlanBackend::kOneSided, ref.sc, ref.sd, ref.rc,
-                        ref.rd, std::span<double>(ref.recv), base);
-        rp.execute(ref.send, ref.recv);
-      }
       const auto expect_ref = [&](const FuzzLayout& l, const char* path,
                                   const char* mode, int epoch) {
         // EXPECT (not ASSERT): collective lockstep, same as above.
@@ -358,10 +342,9 @@ TEST_P(ExchangeFuzzCoded, FaultedAndCleanCodedRunsMatchUncodedBitwise) {
           }
         }
       };
-      for (const PathSpec& ps : kCodedPaths) {
+      for (const PathSpec& ps : kPaths) {
         OscOptions o = base;
         o.sync = ps.sync;
-        o.fused = ps.fused;
         o.workers = ps.workers;
         o.parity = 2;
         {

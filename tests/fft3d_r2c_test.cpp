@@ -140,7 +140,7 @@ INSTANTIATE_TEST_SUITE_P(
                       RC{{16, 12, 10}, 6, ExchangeBackend::kOsc},
                       RC{{7, 5, 9}, 4, ExchangeBackend::kPairwise},
                       RC{{9, 6, 4}, 3, ExchangeBackend::kOsc},
-                      RC{{12, 12, 12}, 8, ExchangeBackend::kLinear}),
+                      RC{{12, 12, 12}, 8, ExchangeBackend::kPairwise}),
     [](const auto& info) {
       const auto& c = info.param;
       return std::string(to_string(c.backend)) + "_p" +

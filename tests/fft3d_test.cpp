@@ -144,7 +144,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(FCase{{8, 8, 8}, 1, ExchangeBackend::kPairwise},
                       FCase{{8, 8, 8}, 2, ExchangeBackend::kPairwise},
                       FCase{{8, 8, 8}, 4, ExchangeBackend::kOsc},
-                      FCase{{8, 8, 8}, 6, ExchangeBackend::kLinear},
+                      FCase{{8, 8, 8}, 6, ExchangeBackend::kPairwise},
                       FCase{{12, 10, 6}, 6, ExchangeBackend::kPairwise},
                       FCase{{12, 10, 6}, 6, ExchangeBackend::kOsc},
                       FCase{{7, 5, 9}, 4, ExchangeBackend::kPairwise},

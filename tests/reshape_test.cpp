@@ -117,13 +117,12 @@ INSTANTIATE_TEST_SUITE_P(
     Cases, ReshapeSweep,
     ::testing::Values(RCase{{8, 8, 8}, 1, ExchangeBackend::kPairwise},
                       RCase{{8, 8, 8}, 4, ExchangeBackend::kPairwise},
-                      RCase{{8, 8, 8}, 4, ExchangeBackend::kLinear},
                       RCase{{8, 8, 8}, 4, ExchangeBackend::kOsc},
                       RCase{{12, 6, 10}, 6, ExchangeBackend::kPairwise},
                       RCase{{12, 6, 10}, 6, ExchangeBackend::kOsc},
                       RCase{{7, 9, 5}, 5, ExchangeBackend::kPairwise},
                       RCase{{7, 9, 5}, 5, ExchangeBackend::kOsc},
-                      RCase{{16, 16, 16}, 8, ExchangeBackend::kLinear}),
+                      RCase{{16, 16, 16}, 8, ExchangeBackend::kPairwise}),
     [](const auto& info) {
       const auto& c = info.param;
       return std::string(to_string(c.backend)) + "_p" +
@@ -200,11 +199,11 @@ TEST(Reshape, FloatFieldsExchangeRaw) {
   });
 }
 
-TEST(Reshape, FusedRawMatchesStagedBytewise) {
-  // The fused raw pairwise path (recv_consume unpacking straight from the
-  // sender's buffer, no recvbuf_) must be byte-identical to the staged
-  // alltoallv baseline at every transport regime: all-eager, the default
-  // crossover, and all-rendezvous (true zero-copy from the peer's staging).
+TEST(Reshape, RawPairwiseDeliversEveryElementAcrossThresholds) {
+  // The raw pairwise rounds (recv_consume unpacking straight from the
+  // sender's buffer, no recvbuf_) must deliver every element at every
+  // transport regime: all-eager, the default crossover, and
+  // all-rendezvous (true zero-copy from the peer's send slice).
   const std::size_t thresholds[] = {minimpi::kEagerOnlyThreshold, 4096, 0};
   for (const std::size_t threshold : thresholds) {
     minimpi::MinimpiOptions mo;
@@ -213,128 +212,74 @@ TEST(Reshape, FusedRawMatchesStagedBytewise) {
       const std::array<int, 3> n{12, 10, 6};
       const auto bricks = split_brick(n, proc_grid3(6));
       const auto pencils = split_pencil(n, 1, 6);
-      ReshapeOptions fused;  // fused_raw defaults on.
-      ReshapeOptions staged;
-      staged.fused_raw = false;
-      Reshape<std::complex<double>> frs(comm, bricks, pencils, fused);
-      Reshape<std::complex<double>> srs(comm, bricks, pencils, staged);
-      const auto in = fill_box(frs.inbox());
-      const auto out_n = static_cast<std::size_t>(frs.outbox().count());
-      std::vector<std::complex<double>> fout(out_n), sout(out_n);
+      ReshapeOptions o;
+      o.batch = 2;  // Two packed banks, exchanged field by field.
+      Reshape<std::complex<double>> rs(comm, bricks, pencils, o);
+      EXPECT_FALSE(rs.pack_elided());
+      auto in = fill_box(rs.inbox());
+      const auto in_n = in.size();
+      in.resize(2 * in_n);
+      std::copy_n(in.begin(), in_n, in.begin() + in_n);
+      const auto out_n = static_cast<std::size_t>(rs.outbox().count());
+      std::vector<std::complex<double>> out(2 * out_n);
       for (int it = 0; it < 2; ++it) {
-        std::fill(fout.begin(), fout.end(), std::complex<double>{-1, -1});
-        std::fill(sout.begin(), sout.end(), std::complex<double>{-2, -2});
-        frs.execute(in, fout);
-        srs.execute(in, sout);
-        for (std::size_t i = 0; i < out_n; ++i) {
-          ASSERT_EQ(fout[i], sout[i])
-              << "threshold=" << threshold << " it=" << it << " i=" << i;
-        }
+        std::fill(out.begin(), out.end(), std::complex<double>{-1, -1});
+        rs.execute_batch(in, out, 2);
+        expect_box(rs.outbox(), std::span(out).first(out_n), 0.0);
+        expect_box(rs.outbox(), std::span(out).last(out_n), 0.0);
       }
       // Float fields ride the same raw path; check the element-size
-      // genericity of the fused unpack as well.
-      Reshape<float> ff(comm, bricks, pencils, fused);
-      Reshape<float> sf(comm, bricks, pencils, staged);
-      std::vector<float> fin(static_cast<std::size_t>(ff.inbox().count()));
-      for (std::size_t i = 0; i < fin.size(); ++i) {
-        fin[i] = static_cast<float>(comm.rank() * 1000 + 7 * i);
+      // genericity of the unpack as well (real parts of the fingerprint).
+      Reshape<float> rf(comm, bricks, pencils, {});
+      std::vector<float> fin;
+      for (const auto& v : fill_box(rf.inbox())) {
+        fin.push_back(static_cast<float>(v.real()));
       }
-      const auto fo_n = static_cast<std::size_t>(ff.outbox().count());
-      std::vector<float> ffout(fo_n, -1.f), sfout(fo_n, -2.f);
-      ff.execute(std::span<const float>(fin), std::span<float>(ffout));
-      sf.execute(std::span<const float>(fin), std::span<float>(sfout));
-      for (std::size_t i = 0; i < fo_n; ++i) {
-        ASSERT_EQ(ffout[i], sfout[i]) << "threshold=" << threshold;
+      std::vector<float> fout(static_cast<std::size_t>(rf.outbox().count()));
+      rf.execute(std::span<const float>(fin), std::span<float>(fout));
+      const auto want = fill_box(rf.outbox());
+      for (std::size_t i = 0; i < fout.size(); ++i) {
+        ASSERT_EQ(fout[i], static_cast<float>(want[i].real()))
+            << "threshold=" << threshold << " i=" << i;
       }
     });
   }
 }
 
-TEST(Reshape, PackElisionFiresOnCompatibleGeometryAndMatchesPackedBytewise) {
+TEST(Reshape, PackElisionFiresOnCompatibleGeometryAndDeliversEveryElement) {
   // z-pencils {2, 4} -> bricks {2, 2, 2} on a cubic grid: every sub-volume
   // a rank sends spans full x and y of its pencil, so the pack stage is an
   // identity copy and elides — the exchange reads straight out of the
-  // field. Results must be bitwise identical to the forced-pack path on
-  // every backend (fused raw, staged raw, one-sided raw, codec).
+  // field. Every backend must put each fingerprint in place: raw pairwise,
+  // one-sided raw, and the fp32 wire (the fingerprints of this grid are
+  // exact in fp32, so their per-element cast is the raw value).
   run_ranks(8, [](Comm& comm) {
     const std::array<int, 3> n{8, 8, 8};
     const auto zp = split_pencil(n, 2, std::array<int, 2>{2, 4});
     const auto bricks = split_brick(n, {2, 2, 2});
-
-    const auto check = [&](ReshapeOptions base) {
-      ReshapeOptions packed = base;
-      packed.pack_elision = false;
-      Reshape<std::complex<double>> er(comm, zp, bricks, base);
-      Reshape<std::complex<double>> pr(comm, zp, bricks, packed);
-      EXPECT_TRUE(er.pack_elided()) << to_string(base.backend);
-      EXPECT_FALSE(pr.pack_elided());
-      const auto in = fill_box(er.inbox());
-      const auto out_n = static_cast<std::size_t>(er.outbox().count());
-      std::vector<std::complex<double>> eout(out_n, {-1, -1});
-      std::vector<std::complex<double>> pout(out_n, {-2, -2});
-      for (int it = 0; it < 2; ++it) {
-        er.execute(in, eout);
-        pr.execute(in, pout);
-        for (std::size_t i = 0; i < out_n; ++i) {
-          ASSERT_EQ(eout[i], pout[i])
-              << to_string(base.backend) << " it=" << it << " i=" << i;
-        }
-      }
-      // Elision is an execution detail: stats are unchanged.
-      EXPECT_EQ(er.stats().payload_bytes, pr.stats().payload_bytes);
-      EXPECT_EQ(er.stats().wire_bytes, pr.stats().wire_bytes);
-    };
-
-    ReshapeOptions fused;  // Raw pairwise, fused unpack.
-    check(fused);
-    ReshapeOptions staged;
-    staged.fused_raw = false;
-    check(staged);
     ReshapeOptions osc;
     osc.backend = ExchangeBackend::kOsc;
     osc.gpus_per_node = 2;
-    check(osc);
     ReshapeOptions codec = osc;
     codec.codec = std::make_shared<CastFp32Codec>();
-    check(codec);
+    for (const auto& o : {ReshapeOptions{}, osc, codec}) {
+      Reshape<std::complex<double>> rs(comm, zp, bricks, o);
+      EXPECT_TRUE(rs.pack_elided()) << to_string(o.backend);
+      const auto in = fill_box(rs.inbox());
+      std::vector<std::complex<double>> out(
+          static_cast<std::size_t>(rs.outbox().count()), {-1, -1});
+      for (int it = 0; it < 2; ++it) {
+        rs.execute(in, out);
+        expect_box(rs.outbox(), out, 0.0);
+      }
+    }
 
     // Incompatible geometry (x-pencils -> y-pencils: sends take a partial
-    // x range over multiple rows) keeps packing even with elision enabled.
+    // x range over multiple rows) keeps packing.
     Reshape<std::complex<double>> strided(comm, split_pencil(n, 0, 8),
                                           split_pencil(n, 1, 8),
                                           ReshapeOptions{});
     EXPECT_FALSE(strided.pack_elided());
-  });
-}
-
-TEST(Reshape, PackElisionBatchedExecuteMatchesPerField) {
-  // Batched elided exchanges read the field banks of `in` directly (bank
-  // stride == send_total_); results must match per-field executes exactly.
-  run_ranks(4, [](Comm& comm) {
-    const std::array<int, 3> n{6, 4, 8};
-    const auto zp = split_pencil(n, 2, std::array<int, 2>{2, 2});
-    const auto bricks = split_brick(n, {1, 2, 2});
-    ReshapeOptions bo;
-    bo.backend = ExchangeBackend::kOsc;
-    bo.gpus_per_node = 2;
-    bo.batch = 3;
-    Reshape<std::complex<double>> batched(comm, zp, bricks, bo);
-    ReshapeOptions po = bo;
-    po.pack_elision = false;
-    Reshape<std::complex<double>> packed(comm, zp, bricks, po);
-    ASSERT_TRUE(batched.pack_elided());
-    const auto in_n = static_cast<std::size_t>(batched.inbox().count());
-    const auto out_n = static_cast<std::size_t>(batched.outbox().count());
-    std::vector<std::complex<double>> in(3 * in_n);
-    Xoshiro256 rng(11 + static_cast<std::uint64_t>(comm.rank()));
-    fill_uniform_complex(rng, in);
-    std::vector<std::complex<double>> bout(3 * out_n, {-1, -1});
-    std::vector<std::complex<double>> pout(3 * out_n, {-2, -2});
-    batched.execute_batch(in, bout, 3);
-    packed.execute_batch(in, pout, 3);
-    for (std::size_t i = 0; i < bout.size(); ++i) {
-      ASSERT_EQ(bout[i], pout[i]) << i;
-    }
   });
 }
 
@@ -478,7 +423,6 @@ TEST(Reshape, SelfBlockIsExactOnEveryLossyTransport) {
   };
   const Transport transports[] = {
       {ExchangeBackend::kPairwise, osc::OscSync::kFence},
-      {ExchangeBackend::kLinear, osc::OscSync::kFence},
       {ExchangeBackend::kOsc, osc::OscSync::kFence},
       {ExchangeBackend::kOsc, osc::OscSync::kPscw}};
   constexpr int kFields = 2;

@@ -196,6 +196,12 @@ TEST(ServeScheduler, UnsatisfiableQosIsRejectedWithReason) {
   bad = ok;
   bad.family = 57;
   EXPECT_FALSE(sched.admit(bad).empty());
+  bad = ok;
+  bad.backend = static_cast<std::uint8_t>(ExchangeBackend::kOsc) + 1;
+  EXPECT_FALSE(sched.admit(bad).empty());
+  bad = ok;
+  bad.sync = 2;
+  EXPECT_FALSE(sched.admit(bad).empty());
 
   SchedulerLimits floor;
   floor.min_e_tol = 1e-6;

@@ -149,16 +149,12 @@ TEST(TunerStraggler, ParityAxisRequiresAStragglerModel) {
   }
   EXPECT_EQ(decide(sig, plain).parity, 0);
 
-  // With one, every path except the staged baseline (no coded wire
-  // format) is crossed with m in {0, 1, 2}.
+  // With one, every path is crossed with m in {0, 1, 2}.
   const CostConstants k = straggler_constants(0.05, 200e-6);
   bool saw_m1 = false, saw_m2 = false;
   for (const TuneCandidate& c : candidate_space(sig, k)) {
     EXPECT_GE(c.parity, 0);
     EXPECT_LE(c.parity, 2);
-    if (c.path == TunePath::kTwoSidedStaged) {
-      EXPECT_EQ(c.parity, 0) << "staged baseline must stay uncoded";
-    }
     saw_m1 |= c.parity == 1;
     saw_m2 |= c.parity == 2;
   }
@@ -361,14 +357,14 @@ TEST(TunerCache, StaleVersionFileIsIgnoredWholesale) {
   const TuneDecision want = clean.decide(sig);
 
   // A stale-version file carrying a poisoned row under this signature's
-  // exact key: workers = 77 on the staged path, which decide() can never
-  // produce for a raw exchange. If the version gate leaked, this row would
-  // be returned verbatim.
+  // exact key: workers = 77, which decide() can never produce for a raw
+  // exchange. If the version gate leaked, this row would be returned
+  // verbatim.
   {
     std::ofstream out(path, std::ios::trunc);
     out << "lossyfft-tune-cache 99\n";
     out << sig.p << " " << sig.gpn << " " << size_class(sig.pair_bytes)
-        << " raw 0 " << static_cast<int>(TunePath::kTwoSidedStaged)
+        << " raw 0 " << static_cast<int>(TunePath::kTwoSidedFused)
         << " 77 4096 1e-9\n";
   }
   TunerOptions so;

@@ -43,7 +43,7 @@ int usage() {
   std::fprintf(
       stderr,
       "usage: lossyfft_cli [--ranks N] [--grid NX NY NZ] [--e-tol E]\n"
-      "                    [--backend pairwise|linear|osc]\n"
+      "                    [--backend pairwise|osc]\n"
       "                    [--family truncation|zfpx|szq|lossless]\n"
       "                    [--iters K] [--connect SOCKET]\n");
   return 2;
@@ -66,7 +66,6 @@ bool parse(int argc, char** argv, Args& a) {
     } else if (flag == "--backend" && next()) {
       const std::string b = argv[++i];
       if (b == "pairwise") a.backend = ExchangeBackend::kPairwise;
-      else if (b == "linear") a.backend = ExchangeBackend::kLinear;
       else if (b == "osc") a.backend = ExchangeBackend::kOsc;
       else return false;
     } else if (flag == "--connect" && next()) {
