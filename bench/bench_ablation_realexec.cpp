@@ -290,13 +290,15 @@ int main(int argc, char** argv) {
         oo.workers = xcfg.workers;
         oo.parity = xcfg.parity;
         oo.fault_plan = xcfg.faults;
+        const auto backend =
+            xcfg.mode == XMode::kOscCall || xcfg.mode == XMode::kOscPlan
+                ? osc::PlanBackend::kOneSided
+                : osc::PlanBackend::kTwoSided;
         std::unique_ptr<osc::ExchangePlan> plan;
         if (xcfg.mode == XMode::kOscPlan || xcfg.mode == XMode::kTwoPlan) {
           plan = std::make_unique<osc::ExchangePlan>(
-              comm,
-              xcfg.mode == XMode::kOscPlan ? osc::PlanBackend::kOneSided
-                                           : osc::PlanBackend::kTwoSided,
-              counts, displs, counts, displs, std::span<double>(recvb), oo);
+              comm, backend, counts, displs, counts, displs,
+              std::span<double>(recvb), oo);
         }
         osc::ExchangeStats st;
         comm.barrier();
@@ -310,12 +312,11 @@ int main(int argc, char** argv) {
                   bcounts, bdispls);
               break;
             case XMode::kOscCall:
-              st = osc::osc_alltoallv(comm, send, counts, displs, recvb,
-                                      counts, displs, oo);
-              break;
             case XMode::kTwoCall:
-              st = osc::compressed_alltoallv(comm, send, counts, displs, recvb,
-                                             counts, displs, oo);
+              // A one-off plan per call: its setup collectives are timed.
+              st = osc::ExchangePlan(comm, backend, counts, displs, counts,
+                                     displs, std::span<double>(recvb), oo)
+                       .execute(send, recvb);
               break;
             case XMode::kOscPlan:
             case XMode::kTwoPlan:

@@ -13,7 +13,7 @@
 #include "compress/truncate.hpp"
 #include "minimpi/alltoall.hpp"
 #include "minimpi/runtime.hpp"
-#include "osc/osc_alltoall.hpp"
+#include "osc/exchange_plan.hpp"
 #include "osc/schedule.hpp"
 
 using namespace lossyfft;
@@ -52,8 +52,10 @@ int main() {
     std::vector<double> recv_osc(send.size());
     osc::OscOptions raw;
     raw.gpus_per_node = gpn;
-    const auto st_raw = osc::osc_alltoallv(comm, send, counts, displs,
-                                           recv_osc, counts, displs, raw);
+    const auto st_raw =
+        osc::ExchangePlan(comm, osc::PlanBackend::kOneSided, counts, displs,
+                          counts, displs, recv_osc, raw)
+            .execute(send, recv_osc);
 
     // 3) One-sided ring, FP16 truncation, 8-chunk pipeline.
     std::vector<double> recv_fp16(send.size());
@@ -61,8 +63,10 @@ int main() {
     lossy.gpus_per_node = gpn;
     lossy.codec = std::make_shared<CastFp16Codec>();
     lossy.chunks = 8;
-    const auto st_16 = osc::osc_alltoallv(comm, send, counts, displs,
-                                          recv_fp16, counts, displs, lossy);
+    const auto st_16 =
+        osc::ExchangePlan(comm, osc::PlanBackend::kOneSided, counts, displs,
+                          counts, displs, recv_fp16, lossy)
+            .execute(send, recv_fp16);
 
     // Verify.
     double max_raw = 0.0, max_16 = 0.0;

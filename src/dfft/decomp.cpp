@@ -171,6 +171,16 @@ std::vector<Box3> split_pencil(std::array<int, 3> n, int dir,
   return split_brick(n, pg);
 }
 
+std::vector<Box3> split_pencil_for(std::array<int, 3> n, int dir, int p,
+                                   std::array<int, 2> grid) {
+  if (grid[0] >= 1 && grid[1] >= 1) return split_pencil(n, dir, grid);
+  const int d1 = dir == 0 ? 1 : 0;
+  const int d2 = dir == 2 ? 1 : 2;
+  return split_pencil(n, dir,
+                      proc_grid2_for(p, n[static_cast<std::size_t>(d1)],
+                                     n[static_cast<std::size_t>(d2)]));
+}
+
 bool subvolume_contiguous(const Box3& box, const Box3& sub) {
   if (sub.empty()) return true;
   // x-fastest storage: a multi-plane sub needs full x and y rows of the

@@ -58,6 +58,12 @@ std::vector<Box3> split_pencil(std::array<int, 3> n, int dir, int p);
 std::vector<Box3> split_pencil(std::array<int, 3> n, int dir,
                                std::array<int, 2> grid);
 
+/// Fft3dOptions::pencil_grid's rule: split_pencil over `grid` when both
+/// factors are set, else over the extent-aware near-square grid of the
+/// two split dimensions (proc_grid2_for).
+std::vector<Box3> split_pencil_for(std::array<int, 3> n, int dir, int p,
+                                   std::array<int, 2> grid);
+
 /// True when `sub`'s elements occupy one contiguous run of `box`'s
 /// x-fastest local storage — the geometry test that lets a reshape elide
 /// its pack stage and exchange straight out of the field (sub must lie

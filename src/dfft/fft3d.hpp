@@ -12,9 +12,11 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <memory>
 #include <optional>
 
+#include "dfft/fft_exec.hpp"
 #include "dfft/reshape.hpp"
 #include "fft/fft1d.hpp"
 #include "tuner/decomp_model.hpp"
@@ -110,6 +112,43 @@ struct Fft3dOptions {
   }
 };
 
+namespace detail {
+
+/// Give `data`, the output of a transform over N points, the share of the
+/// 1/N normalization that `s` assigns to direction `dir`. The 1-D stages
+/// already split it as kBackward does (forward unscaled, inverse 1/N in
+/// total); this multiplies in the correction for every other split.
+template <typename T, typename V>
+void apply_scaling(std::span<V> data, Scaling s, FftDirection dir, double N) {
+  const bool fwd = dir == FftDirection::kForward;
+  double f = 1.0;
+  switch (s) {
+    case Scaling::kBackward: break;
+    case Scaling::kForward: f = fwd ? 1.0 / N : N; break;
+    case Scaling::kSymmetric:
+      f = fwd ? 1.0 / std::sqrt(N) : std::sqrt(N);
+      break;
+    case Scaling::kNone: f = fwd ? 1.0 : N; break;
+  }
+  if (f == 1.0) return;
+  const T ft = static_cast<T>(f);
+  for (auto& v : data) v *= ft;
+}
+
+/// Resolve FftAlgorithm::kAuto for a pipeline over grid `n` into
+/// `options`: the algorithm, and the pencil grid on a pencil verdict. The
+/// tuner's constants come from timing-based calibration, which would
+/// diverge across ranks, so rank 0 decides and broadcasts the POD
+/// decision, like the exchange-level kAuto path in Reshape. Collective;
+/// returns the decision, or nothing (and changes nothing) for a fixed
+/// algorithm.
+std::optional<tuner::DecompDecision> resolve_decomp(minimpi::Comm& comm,
+                                                    std::array<int, 3> n,
+                                                    std::size_t elem_bytes,
+                                                    Fft3dOptions& options);
+
+}  // namespace detail
+
 template <typename T>
 class Fft3d {
  public:
@@ -144,26 +183,37 @@ class Fft3d {
     return static_cast<std::int64_t>(n_[0]) * n_[1] * n_[2];
   }
 
-  /// Forward transform (unnormalized). Collective. `in` and `out` hold
-  /// local_count() elements in brick layout (x-fastest).
+  /// Forward transform (unnormalized by default; see Scaling). Collective.
+  /// `in` holds local_count() elements of the inbox, `out` receives
+  /// output_count() of the outbox, both x-fastest.
   void forward(std::span<const std::complex<T>> in,
-               std::span<std::complex<T>> out);
+               std::span<std::complex<T>> out) {
+    forward_batch(in, out, 1);
+  }
 
-  /// Inverse transform scaled by 1/(nx*ny*nz), so backward(forward(x)) == x
-  /// up to roundoff/compression error.
+  /// Inverse transform, scaled by 1/(nx*ny*nz) by default, so
+  /// backward(forward(x)) == x up to roundoff/compression error. Runs the
+  /// same pipeline as forward: inbox in, outbox out.
   void backward(std::span<const std::complex<T>> in,
-                std::span<std::complex<T>> out);
+                std::span<std::complex<T>> out) {
+    backward_batch(in, out, 1);
+  }
 
   /// Batched transforms for multi-component fields (e.g. a velocity
-  /// vector): `fields` consecutive bricks of local_count()/output_count()
-  /// elements each. With batch_fields > 1 the pipeline advances all
-  /// fields of a capacity-sized chunk through each reshape as one batched
-  /// exchange (synchronization cost per chunk, not per field); results
-  /// are identical to per-field transforms. Collective.
+  /// vector): `in` holds `fields` consecutive local_count()-element
+  /// images, `out` receives `fields` output_count()-element images. With
+  /// batch_fields > 1 the pipeline advances all fields of a capacity-sized
+  /// chunk through each reshape as one batched exchange (synchronization
+  /// cost per chunk, not per field); results are identical to per-field
+  /// transforms. Collective.
   void forward_batch(std::span<const std::complex<T>> in,
-                     std::span<std::complex<T>> out, int fields);
+                     std::span<std::complex<T>> out, int fields) {
+    run(in, out, FftDirection::kForward, fields);
+  }
   void backward_batch(std::span<const std::complex<T>> in,
-                      std::span<std::complex<T>> out, int fields);
+                      std::span<std::complex<T>> out, int fields) {
+    run(in, out, FftDirection::kInverse, fields);
+  }
 
   /// Combined wire statistics of all reshapes so far (this rank).
   osc::ExchangeStats stats() const;
@@ -199,44 +249,23 @@ class Fft3d {
   double model_flops() const;
 
  private:
-  /// One pipeline pass over `fields` consecutive field images
-  /// (1 <= fields <= reshape batch capacity); fields == 1 is the classic
-  /// single-field transform.
+  /// The one transform body: the stage loop over capacity-sized chunks of
+  /// `fields` images, then the scaling share of `dir`.
   void run(std::span<const std::complex<T>> in, std::span<std::complex<T>> out,
            FftDirection dir, int fields);
-  void fft_pencil(int dir, FftDirection fdir, std::complex<T>* data);
-
   void init(const std::vector<Box3>& boxes_in,
             const std::vector<Box3>& boxes_out);
-  void run_slab(std::span<const std::complex<T>> in,
-                std::span<std::complex<T>> out, FftDirection dir, int fields);
-  /// Chunked batch driver shared by forward_batch / backward_batch.
-  void run_batched(std::span<const std::complex<T>> in,
-                   std::span<std::complex<T>> out, FftDirection dir,
-                   int fields);
-
-  /// Resolve FftAlgorithm::kAuto (and a {0, 0} pencil_grid under it) into
-  /// options_ via the tuner: rank 0 decides, everyone applies the
-  /// broadcast. No-op for fixed algorithms.
-  void resolve_auto_decomp();
 
   minimpi::Comm& comm_;
   std::array<int, 3> n_;
   Fft3dOptions options_;
   std::optional<tuner::DecompDecision> decomp_;
   Box3 inbox_, outbox_;
-  std::array<Box3, 3> pencil_;  // Pencil path: x/y/z pencils.
-                                // Slab path: [0] = z-slab, [2] = x-slab.
 
-  // Pencil path: brick->xp, xp->yp, yp->zp, zp->brick (backward runs the
-  // same pipeline with inverse 1-D FFTs — transform directions commute).
-  // Slab path: brick->zslab, zslab->xslab, xslab->brick in [0..2].
-  std::array<std::unique_ptr<Reshape<std::complex<T>>>, 4> fwd_reshape_;
-
-  std::array<std::unique_ptr<Fft1d<T>>, 3> fft_;
-  // Per-shard plan workspaces of the parallel FFT stages, one cache per
-  // grid dimension, grown on first use and reused across transforms.
-  std::array<std::vector<typename Fft1d<T>::Workspace>, 3> fft_ws_;
+  // Pencil: brick -> x-pencils (FFTs in x) -> y-pencils (y) -> z-pencils
+  // (z) -> brick. Slab: brick -> z-slabs (x, y) -> x-slabs (z) -> brick.
+  std::vector<detail::Stage<T>> stages_;
+  detail::LinePlans<T> fft_;
   std::vector<std::complex<T>> work_a_, work_b_;
 };
 

@@ -56,25 +56,27 @@ class Fft3dR2c {
   osc::ExchangeStats stats() const;
 
  private:
-  void scale_spectral(std::span<std::complex<T>> data, bool forward) const;
+  /// The real x stage: r2c (forward) or c2r (inverse) lines between
+  /// real_work_ and the spectral x-pencils at the head of work_a_.
+  void run_x(FftDirection dir);
 
   minimpi::Comm& comm_;
   std::array<int, 3> n_;   // Real grid.
   std::array<int, 3> nr_;  // Reduced spectral grid.
   Fft3dOptions options_;
 
-  Box3 real_box_, spec_box_;
-  Box3 xp_real_, xp_spec_, yp_, zp_;
+  Box3 real_box_, spec_box_, xp_real_, xp_spec_;
 
   std::unique_ptr<Reshape<T>> to_xpencil_, from_xpencil_;
-  std::array<std::unique_ptr<Reshape<std::complex<T>>>, 3> fwd_, bwd_;
+  // The complex stages on the reduced grid. Forward: x-pencils -> y-pencils
+  // (FFTs in y) -> z-pencils (z) -> bricks; backward the reverse.
+  std::vector<detail::Stage<T>> fwd_, bwd_;
 
   std::unique_ptr<FftR2c<T>> r2c_;
-  std::unique_ptr<Fft1d<T>> fft_y_, fft_z_;
-  // Per-shard plan workspaces of the parallel FFT stages: all three 1-D
-  // plans are read-only at transform time, so one workspace per shard is
-  // the whole synchronization story (r2c/c2r x-lines included).
-  std::vector<typename Fft1d<T>::Workspace> fft_y_ws_, fft_z_ws_;
+  detail::LinePlans<T> fft_;  // y and z plans; x is r2c_.
+  // Per-shard r2c/c2r workspaces: like the 1-D plans, r2c_ is read-only at
+  // transform time, so one workspace per shard is the whole
+  // synchronization story.
   std::vector<typename FftR2c<T>::Workspace> r2c_ws_;
 
   std::vector<T> real_work_;

@@ -1,8 +1,9 @@
-// Persistent exchange plans: the per-call setup of osc_alltoallv /
-// compressed_alltoallv hoisted into plan construction, so a repeated
-// exchange (Reshape::execute every FFT iteration) pays only the data
-// movement — the persistent-collective model of Dalcin et al.'s advanced
-// MPI FFT applied to the paper's Algorithm 3.
+// Persistent exchange plans: the compressed all-to-all of the paper's
+// Algorithm 3 (one-sided) and its two-sided ablation, with every per-call
+// setup step hoisted into plan construction, so a repeated exchange
+// (Reshape::execute every FFT iteration) pays only the data movement —
+// the persistent-collective model of Dalcin et al.'s advanced MPI FFT. A
+// one-off exchange is a plan built, executed once and dropped.
 //
 // A plan pins everything derivable from the counts at construction time:
 //

@@ -4,7 +4,6 @@
 
 #include "common/error.hpp"
 #include "netsim/model.hpp"
-#include "osc/exchange_plan.hpp"
 
 namespace lossyfft::osc {
 
@@ -42,36 +41,6 @@ std::vector<std::uint64_t> chunk_partition(std::uint64_t count, int chunks) {
     done += c;
   }
   return sizes;
-}
-
-// Both per-call entry points are transient plans: construct (which runs the
-// setup collectives the plan would otherwise amortize), execute once,
-// destroy. Building them on the plan guarantees the per-call and persistent
-// paths share one wire format by construction.
-
-ExchangeStats osc_alltoallv(minimpi::Comm& comm, std::span<const double> send,
-                            std::span<const std::uint64_t> sendcounts,
-                            std::span<const std::uint64_t> senddispls,
-                            std::span<double> recv,
-                            std::span<const std::uint64_t> recvcounts,
-                            std::span<const std::uint64_t> recvdispls,
-                            const OscOptions& options) {
-  ExchangePlan plan(comm, PlanBackend::kOneSided, sendcounts, senddispls,
-                    recvcounts, recvdispls, recv, options);
-  return plan.execute(send, recv);
-}
-
-ExchangeStats compressed_alltoallv(minimpi::Comm& comm,
-                                   std::span<const double> send,
-                                   std::span<const std::uint64_t> sendcounts,
-                                   std::span<const std::uint64_t> senddispls,
-                                   std::span<double> recv,
-                                   std::span<const std::uint64_t> recvcounts,
-                                   std::span<const std::uint64_t> recvdispls,
-                                   const OscOptions& options) {
-  ExchangePlan plan(comm, PlanBackend::kTwoSided, sendcounts, senddispls,
-                    recvcounts, recvdispls, recv, options);
-  return plan.execute(send, recv);
 }
 
 }  // namespace lossyfft::osc

@@ -1,15 +1,11 @@
-// Compressed all-to-all exchanges over real minimpi ranks.
-//
-// `osc_alltoallv` is Algorithm 3 of the paper: a node-aware ring of
-// one-sided puts over an exposed window, with per-destination payloads
-// compressed in chunks so compression and transfer pipeline (the CUDA
-// stream + completion-counter construction of Section V-B; here the chunk
-// loop is the pipeline and netsim prices its overlap). Decompression of
-// the whole received window happens after the final fence, exactly as the
-// paper does (the RMA API offers no efficient target-side progress hook).
-//
-// `compressed_alltoallv` is the two-sided ablation: same codec, classical
-// pairwise exchange, no window.
+// The compressed all-to-all's shared vocabulary: sync modes, options,
+// statistics and the pipeline chunk model. The exchange itself is
+// osc::ExchangePlan (exchange_plan.hpp): Algorithm 3 of the paper as a
+// node-aware ring of one-sided puts over an exposed window, with
+// per-destination payloads compressed in chunks so compression and
+// transfer pipeline (the CUDA stream + completion-counter construction of
+// Section V-B; here the chunk loop is the pipeline and netsim prices its
+// overlap), plus the two-sided ablation with the same codec.
 //
 // Payloads are spans of doubles (complex data is viewed as interleaved
 // re/im); counts and displacements are in double elements.
@@ -90,8 +86,8 @@ int plan_pipeline_chunks(std::uint64_t payload_bytes, double rate);
 // Through Reshape (and so Fft3d and the serving layer), payload_bytes,
 // wire_bytes and messages cover off-rank traffic only: a reshape copies
 // each rank's self-block locally and hands the exchange zero self counts.
-// Direct ExchangePlan / alltoallv callers that pass self counts see them
-// counted like any other destination.
+// Direct ExchangePlan callers that pass self counts see them counted like
+// any other destination.
 struct ExchangeStats {
   std::uint64_t payload_bytes = 0;  // Uncompressed bytes this rank sent.
   std::uint64_t wire_bytes = 0;     // Bytes actually put on the wire.
@@ -140,28 +136,6 @@ struct ExchangeStats {
                           : 1.0;
   }
 };
-
-/// One-sided ring all-to-all with on-the-fly compression (Algorithm 3).
-/// Per-call convenience over osc::ExchangePlan (exchange_plan.hpp): builds
-/// a transient plan, executes once, tears it down. Repeated identical
-/// exchanges should hold a plan instead and skip the per-call setup.
-ExchangeStats osc_alltoallv(minimpi::Comm& comm, std::span<const double> send,
-                            std::span<const std::uint64_t> sendcounts,
-                            std::span<const std::uint64_t> senddispls,
-                            std::span<double> recv,
-                            std::span<const std::uint64_t> recvcounts,
-                            std::span<const std::uint64_t> recvdispls,
-                            const OscOptions& options);
-
-/// Two-sided pairwise all-to-all with the same codec (ablation baseline).
-ExchangeStats compressed_alltoallv(minimpi::Comm& comm,
-                                   std::span<const double> send,
-                                   std::span<const std::uint64_t> sendcounts,
-                                   std::span<const std::uint64_t> senddispls,
-                                   std::span<double> recv,
-                                   std::span<const std::uint64_t> recvcounts,
-                                   std::span<const std::uint64_t> recvdispls,
-                                   const OscOptions& options);
 
 /// Deterministic pipeline chunk partition of `count` elements into at most
 /// `chunks` pieces (each a multiple of 4 except the last, so block codecs

@@ -190,10 +190,6 @@ std::uint64_t Daemon::world_window_begins() const {
   return world_state_ ? world_state_->window_begin_count() : 0;
 }
 
-std::uint64_t Daemon::world_messages() const {
-  return world_state_ ? world_state_->message_post_count() : 0;
-}
-
 void Daemon::rank_loop(minimpi::Comm& comm) {
   if (comm.rank() == 0) world_state_ = &comm.state();
   comm.barrier();  // world_state_ published before anyone reports ready.

@@ -86,11 +86,10 @@ class Daemon {
   DaemonCounters counters() const;
   std::size_t session_count() const { return sched_.session_count(); }
 
-  /// World-wide observability counters of the daemon's SharedState; a
-  /// plan construction registers exactly ranks() windows, which is how
+  /// World-wide window registrations of the daemon's SharedState; a plan
+  /// construction registers exactly ranks() windows, which is how
   /// serve_test asserts two same-signature sessions built ONE plan.
   std::uint64_t world_window_begins() const;
-  std::uint64_t world_messages() const;
 
  private:
   class CollectiveLog;

@@ -125,7 +125,7 @@ void expect_same_recv(const Layout& a, const Layout& b) {
   }
 }
 
-// --- Plan reuse: repeated executes are byte-identical to the per-call path --
+// --- Plan reuse: repeated executes are byte-identical to a one-off plan ---
 
 TEST(PlanReuse, OneSidedByteIdenticalAcrossExecutes) {
   run_ranks(6, [](Comm& comm) {
@@ -135,8 +135,9 @@ TEST(PlanReuse, OneSidedByteIdenticalAcrossExecutes) {
     o.codec = std::make_shared<CastFp32Codec>();
     o.chunks = 4;
     const auto rst =
-        osc_alltoallv(comm, ref.send, ref.sc, ref.sd, ref.recv, ref.rc,
-                      ref.rd, o);
+        ExchangePlan(comm, PlanBackend::kOneSided, ref.sc, ref.sd, ref.rc,
+                     ref.rd, std::span<double>(ref.recv), o)
+            .execute(ref.send, ref.recv);
     ExchangePlan plan(comm, PlanBackend::kOneSided, l.sc, l.sd, l.rc, l.rd,
                       std::span<double>(l.recv), o);
     for (int it = 0; it < 3; ++it) {
@@ -155,8 +156,10 @@ TEST(PlanReuse, TwoSidedFusedByteIdenticalAcrossExecutes) {
     auto l = make_layout(6, comm.rank());
     OscOptions o;
     o.codec = std::make_shared<BitTrimCodec>(20);
-    const auto rst = compressed_alltoallv(comm, ref.send, ref.sc, ref.sd,
-                                          ref.recv, ref.rc, ref.rd, o);
+    const auto rst =
+        ExchangePlan(comm, PlanBackend::kTwoSided, ref.sc, ref.sd, ref.rc,
+                     ref.rd, std::span<double>(ref.recv), o)
+            .execute(ref.send, ref.recv);
     ExchangePlan plan(comm, PlanBackend::kTwoSided, l.sc, l.sd, l.rc, l.rd,
                       std::span<double>(l.recv), o);
     for (int it = 0; it < 3; ++it) {
@@ -175,8 +178,9 @@ TEST(PlanReuse, VariableCodecPlanMatchesPerCall) {
     OscOptions o;
     o.codec = std::make_shared<SzqCodec>(1e-7);
     const auto rst =
-        osc_alltoallv(comm, ref.send, ref.sc, ref.sd, ref.recv, ref.rc,
-                      ref.rd, o);
+        ExchangePlan(comm, PlanBackend::kOneSided, ref.sc, ref.sd, ref.rc,
+                     ref.rd, std::span<double>(ref.recv), o)
+            .execute(ref.send, ref.recv);
     ExchangePlan plan(comm, PlanBackend::kOneSided, l.sc, l.sd, l.rc, l.rd,
                       std::span<double>(l.recv), o);
     for (int it = 0; it < 3; ++it) {
@@ -339,7 +343,9 @@ TEST(TwoSidedRendezvous, MatchesNaiveAcrossThresholdsAndCodecs) {
                        naive.recv, naive.rc, naive.rd);
         OscOptions o;
         o.codec = codec;
-        compressed_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc, l.rd, o);
+        ExchangePlan(comm, PlanBackend::kTwoSided, l.sc, l.sd, l.rc, l.rd,
+                     std::span<double>(l.recv), o)
+            .execute(l.send, l.recv);
         expect_same_recv(naive, l);
       }
     });

@@ -135,7 +135,8 @@ TEST(FailureOsc, MismatchedCountsRejectedBeforeAnyExchange) {
   minimpi::run_ranks(2, [](minimpi::Comm& comm) {
     std::vector<std::uint64_t> one(1, 0), two(2, 0);
     osc::OscOptions o;
-    EXPECT_THROW(osc::compressed_alltoallv(comm, {}, two, one, {}, two, two, o),
+    EXPECT_THROW(osc::ExchangePlan(comm, osc::PlanBackend::kTwoSided, two,
+                                   one, two, two, {}, o),
                  Error);
     comm.barrier();
   });

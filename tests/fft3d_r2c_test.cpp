@@ -191,19 +191,35 @@ TEST(Fft3dR2c, ToleranceConstructorBoundsError) {
   });
 }
 
-TEST(Fft3dR2c, SymmetricScalingRoundTrip) {
+// Every scaling split: the spectra relate as the c2c ones do
+// (Fft3d.ScalingOptionsRelate), and a roundtrip returns x, or N x under
+// kNone.
+TEST(Fft3dR2c, ScalingOptionsRelateAndRoundTrip) {
   run_ranks(2, [](Comm& comm) {
     const std::array<int, 3> n{8, 6, 4};
-    Fft3dOptions o;
-    o.scaling = Scaling::kSymmetric;
-    Fft3dR2c<double> fft(comm, n, o);
-    const auto in = local_real<double>(fft.real_inbox(), 6);
-    std::vector<std::complex<double>> spec(fft.spectral_count());
-    std::vector<double> back(fft.real_count());
-    fft.forward(in, spec);
-    fft.backward(spec, back);
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      EXPECT_NEAR(back[i], in[i], 1e-12);
+    const double N = 192.0;
+    std::vector<std::vector<std::complex<double>>> spec;
+    for (const Scaling s : {Scaling::kBackward, Scaling::kForward,
+                            Scaling::kSymmetric, Scaling::kNone}) {
+      Fft3dOptions o;
+      o.scaling = s;
+      Fft3dR2c<double> fft(comm, n, o);
+      const auto in = local_real<double>(fft.real_inbox(), 6);
+      spec.emplace_back(fft.spectral_count());
+      std::vector<double> back(fft.real_count());
+      fft.forward(in, spec.back());
+      fft.backward(spec.back(), back);
+      const double gain = s == Scaling::kNone ? N : 1.0;
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        EXPECT_NEAR(back[i], gain * in[i], gain * 1e-12)
+            << static_cast<int>(s);
+      }
+    }
+    const auto &bwd = spec[0], &fwd = spec[1], &sym = spec[2], &none = spec[3];
+    for (std::size_t i = 0; i < bwd.size(); ++i) {
+      EXPECT_LT(std::abs(fwd[i] * N - bwd[i]), 1e-10);
+      EXPECT_LT(std::abs(sym[i] * std::sqrt(N) - bwd[i]), 1e-10);
+      EXPECT_EQ(none[i], bwd[i]);
     }
   });
 }

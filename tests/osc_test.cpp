@@ -10,7 +10,7 @@
 #include "compress/zfpx.hpp"
 #include "minimpi/runtime.hpp"
 #include "minimpi/window.hpp"
-#include "osc/osc_alltoall.hpp"
+#include "osc/exchange_plan.hpp"
 #include "osc/schedule.hpp"
 
 namespace lossyfft::osc {
@@ -23,6 +23,13 @@ struct Layout {
   std::vector<std::uint64_t> sc, sd, rc, rd;
   std::vector<double> send;
   std::vector<double> recv;
+
+  // One exchange of send into recv through a one-off plan.
+  ExchangeStats exchange(Comm& comm, PlanBackend backend,
+                         const OscOptions& o) {
+    return ExchangePlan(comm, backend, sc, sd, rc, rd, recv, o)
+        .execute(send, recv);
+  }
 };
 
 // Triangular per-pair counts with unique cell values.
@@ -109,8 +116,7 @@ TEST_P(OscSweep, UncompressedMatchesExactly) {
     o.chunks = c.chunks;
     o.gpus_per_node = c.gpn;
     o.sync = c.sync;
-    const auto st = osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc,
-                                  l.rd, o);
+    const auto st = l.exchange(comm, PlanBackend::kOneSided, o);
     expect_delivery(c.ranks, comm.rank(), l, 0.0);
     EXPECT_EQ(st.wire_bytes, st.payload_bytes);  // Identity codec.
     EXPECT_EQ(st.rounds, ring_rounds(c.ranks, c.gpn));
@@ -142,8 +148,7 @@ TEST(OscAlltoallv, Fp32CodecHalvesWireAndBoundsError) {
     OscOptions o;
     o.codec = std::make_shared<CastFp32Codec>();
     o.chunks = 4;
-    const auto st = osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc,
-                                  l.rd, o);
+    const auto st = l.exchange(comm, PlanBackend::kOneSided, o);
     expect_delivery(6, comm.rank(), l, 3e-7);  // Values are O(1).
     EXPECT_NEAR(st.compression_ratio(), 2.0, 1e-9);
   });
@@ -155,8 +160,7 @@ TEST(OscAlltoallv, Fp16CodecQuartersWire) {
     OscOptions o;
     o.codec = std::make_shared<CastFp16Codec>();
     o.chunks = 2;
-    const auto st = osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc,
-                                  l.rd, o);
+    const auto st = l.exchange(comm, PlanBackend::kOneSided, o);
     expect_delivery(6, comm.rank(), l, 2e-3);
     EXPECT_NEAR(st.compression_ratio(), 4.0, 1e-9);
   });
@@ -168,8 +172,7 @@ TEST(OscAlltoallv, BitTrimCodecWorksChunked) {
     OscOptions o;
     o.codec = std::make_shared<BitTrimCodec>(20);  // Rate 2 exactly.
     o.chunks = 8;
-    const auto st = osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc,
-                                  l.rd, o);
+    const auto st = l.exchange(comm, PlanBackend::kOneSided, o);
     expect_delivery(4, comm.rank(), l, std::ldexp(1.0, -20));
     EXPECT_NEAR(st.compression_ratio(), 2.0, 0.05);  // Byte padding slack.
   });
@@ -181,8 +184,7 @@ TEST(OscAlltoallv, VariableRateCodecUsesOneChunkPath) {
     OscOptions o;
     o.codec = std::make_shared<SzqCodec>(1e-8);
     o.chunks = 8;  // Must be ignored for variable-rate codecs.
-    const auto st = osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc,
-                                  l.rd, o);
+    const auto st = l.exchange(comm, PlanBackend::kOneSided, o);
     expect_delivery(4, comm.rank(), l, 1e-8 * (1 + 1e-9));
     EXPECT_EQ(st.chunks_issued, st.messages);
   });
@@ -193,7 +195,7 @@ TEST(OscAlltoallv, LosslessCodecDeliversExactly) {
     auto l = make_layout(4, comm.rank(), false);
     OscOptions o;
     o.codec = std::make_shared<ByteplaneRleCodec>();
-    osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc, l.rd, o);
+    l.exchange(comm, PlanBackend::kOneSided, o);
     expect_delivery(4, comm.rank(), l, 0.0);
   });
 }
@@ -204,7 +206,7 @@ TEST(OscAlltoallv, ZfpxCodecChunksOnBlockBoundaries) {
     OscOptions o;
     o.codec = std::make_shared<Zfpx1dCodec>(32);
     o.chunks = 4;
-    osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc, l.rd, o);
+    l.exchange(comm, PlanBackend::kOneSided, o);
     expect_delivery(4, comm.rank(), l, 1e-6);
   });
 }
@@ -225,8 +227,7 @@ TEST(OscAlltoallv, AutoChunksDeliverCorrectly) {
     OscOptions o;
     o.codec = std::make_shared<CastFp32Codec>();
     o.chunks = 0;  // Model-driven per-message chunking.
-    const auto st =
-        osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc, l.rd, o);
+    const auto st = l.exchange(comm, PlanBackend::kOneSided, o);
     expect_delivery(6, comm.rank(), l, 3e-7);
     EXPECT_GE(st.chunks_issued, st.messages);
   });
@@ -240,8 +241,8 @@ TEST(OscAlltoallv, PscwSyncMatchesFenceSync) {
     fence.gpus_per_node = 6;
     OscOptions pscw = fence;
     pscw.sync = OscSync::kPscw;
-    osc_alltoallv(comm, a.send, a.sc, a.sd, a.recv, a.rc, a.rd, fence);
-    osc_alltoallv(comm, b.send, b.sc, b.sd, b.recv, b.rc, b.rd, pscw);
+    a.exchange(comm, PlanBackend::kOneSided, fence);
+    b.exchange(comm, PlanBackend::kOneSided, pscw);
     ASSERT_EQ(a.recv.size(), b.recv.size());
     for (std::size_t i = 0; i < a.recv.size(); ++i) {
       EXPECT_EQ(a.recv[i], b.recv[i]) << i;
@@ -257,8 +258,7 @@ TEST(OscAlltoallv, PscwWithCompressionAndUnevenNodes) {
     o.sync = OscSync::kPscw;
     o.codec = std::make_shared<CastFp32Codec>();
     o.chunks = 4;
-    const auto st = osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc,
-                                  l.rd, o);
+    const auto st = l.exchange(comm, PlanBackend::kOneSided, o);
     expect_delivery(10, comm.rank(), l, 3e-7);
     EXPECT_NEAR(st.compression_ratio(), 2.0, 1e-9);
   });
@@ -335,8 +335,7 @@ TEST(OscAlltoallv, RepeatedExchangesAccumulateStats) {
     std::uint64_t wire = 0;
     for (int it = 0; it < 3; ++it) {
       auto l = make_layout(4, comm.rank(), false);
-      const auto st =
-          osc_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc, l.rd, o);
+      const auto st = l.exchange(comm, PlanBackend::kOneSided, o);
       if (it == 0) {
         wire = st.wire_bytes;
       } else {
@@ -352,8 +351,8 @@ TEST(CompressedAlltoallv, MatchesOscResults) {
     auto b = make_layout(6, comm.rank(), true);
     OscOptions o;
     o.codec = std::make_shared<CastFp32Codec>();
-    osc_alltoallv(comm, a.send, a.sc, a.sd, a.recv, a.rc, a.rd, o);
-    compressed_alltoallv(comm, b.send, b.sc, b.sd, b.recv, b.rc, b.rd, o);
+    a.exchange(comm, PlanBackend::kOneSided, o);
+    b.exchange(comm, PlanBackend::kTwoSided, o);
     // Same codec, same payload: identical lossy results.
     ASSERT_EQ(a.recv.size(), b.recv.size());
     for (std::size_t i = 0; i < a.recv.size(); ++i) {
@@ -367,8 +366,7 @@ TEST(CompressedAlltoallv, VariableCodecSizesExchanged) {
     auto l = make_layout(5, comm.rank(), true);
     OscOptions o;
     o.codec = std::make_shared<SzqCodec>(1e-6);
-    const auto st =
-        compressed_alltoallv(comm, l.send, l.sc, l.sd, l.recv, l.rc, l.rd, o);
+    const auto st = l.exchange(comm, PlanBackend::kTwoSided, o);
     expect_delivery(5, comm.rank(), l, 1e-6 * (1 + 1e-9));
     EXPECT_GT(st.compression_ratio(), 1.0);  // Smooth-ish payload shrinks.
   });
@@ -378,8 +376,9 @@ TEST(OscAlltoallv, RejectsWrongArity) {
   run_ranks(2, [](Comm& comm) {
     std::vector<std::uint64_t> one(1, 0), two(2, 0);
     OscOptions o;
-    EXPECT_THROW(
-        osc_alltoallv(comm, {}, one, two, {}, two, two, o), Error);
+    EXPECT_THROW(ExchangePlan(comm, PlanBackend::kOneSided, one, two, two,
+                              two, {}, o),
+                 Error);
     comm.barrier();
   });
 }
