@@ -153,8 +153,12 @@ void check_conformance(Comm& comm, std::uint64_t seed, bool self_only,
                        int gpn, const CodecCase& cc) {
   const int p = comm.size();
   auto ref = make_fuzz_layout(seed, p, comm.rank(), self_only);
-  naive_exchange(comm, cc.codec, ref.send, ref.sc, ref.sd, ref.recv, ref.rc,
-                 ref.rd);
+  const std::uint64_t encoded = naive_exchange(
+      comm, cc.codec, ref.send, ref.sc, ref.sd, ref.recv, ref.rc, ref.rd);
+  // Raw and variable-rate messages go out as one stream on every path, so
+  // their wire bytes are the oracle's; the one-sided wire chunks
+  // fixed-rate codecs, whose totals differ.
+  const bool whole = !cc.codec || !cc.codec->fixed_size();
   OscOptions base;
   base.codec = cc.codec;
   base.gpus_per_node = gpn;
@@ -169,10 +173,16 @@ void check_conformance(Comm& comm, std::uint64_t seed, bool self_only,
                       std::span<double>(l.recv), o);
     for (int it = 0; it < 2; ++it) {
       std::fill(l.recv.begin(), l.recv.end(), -999.0);
-      plan.execute(l.send, l.recv);
+      const ExchangeStats st = plan.execute(l.send, l.recv);
       // EXPECT (not ASSERT): plans are collective, so every rank must keep
       // walking the same construct/execute sequence even after a mismatch —
       // an early return here would deadlock the other ranks. Cap the spam.
+      if (whole) {
+        EXPECT_EQ(st.wire_bytes, encoded) << ps.name << " " << cc.name;
+      }
+      if (ps.backend == PlanBackend::kTwoSided) {
+        EXPECT_EQ(st.chunks_issued, st.messages) << cc.name;
+      }
       EXPECT_EQ(l.recv.size(), ref.recv.size());
       int reported = 0;
       for (std::size_t i = 0; i < ref.recv.size() && reported < 5; ++i) {

@@ -4,6 +4,7 @@
 // and each source's block is decoded whole — no chunks, windows, fused
 // transport or persistent staging. A null codec trades the raw bytes.
 // Counts and displacements are in doubles, as for osc::ExchangePlan.
+// Returns the bytes this rank encoded, its self block included.
 #pragma once
 
 #include <cstdint>
@@ -16,13 +17,13 @@
 
 namespace lossyfft {
 
-inline void naive_exchange(minimpi::Comm& comm, CodecPtr codec,
-                           std::span<const double> send,
-                           std::span<const std::uint64_t> sc,
-                           std::span<const std::uint64_t> sd,
-                           std::span<double> recv,
-                           std::span<const std::uint64_t> rc,
-                           std::span<const std::uint64_t> rd) {
+inline std::uint64_t naive_exchange(minimpi::Comm& comm, CodecPtr codec,
+                                    std::span<const double> send,
+                                    std::span<const std::uint64_t> sc,
+                                    std::span<const std::uint64_t> sd,
+                                    std::span<double> recv,
+                                    std::span<const std::uint64_t> rc,
+                                    std::span<const std::uint64_t> rd) {
   if (!codec) codec = std::make_shared<IdentityCodec>();
   const auto p = static_cast<std::size_t>(comm.size());
   std::vector<std::uint64_t> ssize(p), soff(p), rsize(p), roff(p);
@@ -50,6 +51,7 @@ inline void naive_exchange(minimpi::Comm& comm, CodecPtr codec,
     codec->decompress(std::span<const std::byte>(in).subspan(roff[i], rsize[i]),
                       recv.subspan(rd[i], rc[i]));
   }
+  return out.size();
 }
 
 }  // namespace lossyfft
