@@ -39,6 +39,23 @@ std::uint64_t make_slot_header(std::uint16_t seq, std::uint64_t bytes) {
   return (std::uint64_t{seq} << 48) | bytes;
 }
 
+// A two-sided coded frame is clean when its header carries this epoch's
+// sequence and its own payload length — at most `cap`, since whole-message
+// fixed-rate encodes may undershoot the cap on tail packing — and the
+// checksum over the payload matches.
+bool clean_frame(std::span<const std::byte> frame, std::uint16_t seq,
+                 std::uint64_t cap) {
+  if (frame.size() < coded::kFrameBytes) return false;
+  std::uint64_t h = 0;
+  std::uint64_t csum = 0;
+  std::memcpy(&h, frame.data(), sizeof(h));
+  std::memcpy(&csum, frame.data() + minimpi::kHeaderWordBytes, sizeof(csum));
+  const std::uint64_t b = h & kHeaderBytesMask;
+  return static_cast<std::uint16_t>(h >> 48) == seq &&
+         b == frame.size() - coded::kFrameBytes && b <= cap &&
+         fnv1a64(frame.subspan(coded::kFrameBytes)) == csum;
+}
+
 // Monotonic stamp for the arrival-skew counters. Only differences within
 // one epoch are ever consumed, so the epoch base is irrelevant.
 double now_seconds() {
@@ -103,9 +120,10 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   workers_ = WorkerPool::effective_shards(
       options_.workers, static_cast<std::size_t>(payload) * sizeof(double));
 
-  // Per-message chunk count (fixed codecs): user value, or the Section V-B
-  // pipeline model's pick for that message size. Deterministic from counts,
-  // so sender and receiver always agree.
+  // Per-message chunk count: user value, or the Section V-B pipeline
+  // model's pick for that message size. A variable-rate message is one
+  // chunk (its stream is not independently splittable). Deterministic from
+  // counts, so sender and receiver always agree.
   const auto chunks_for = [&](std::uint64_t count) {
     if (!fixed_) return 1;
     if (options_.chunks > 0) return options_.chunks;
@@ -114,61 +132,44 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   };
 
   // --- Wire capacities ----------------------------------------------------
-  // Chunk-capacity sums for fixed codecs (exact wire sizes, the property
-  // Section V-B relies on); whole-message caps otherwise.
+  // The sum of a message's chunk capacities: exact for fixed-rate codecs
+  // (the property Section V-B relies on), a bound for variable-rate ones.
+  const auto wire_cap = [&](std::uint64_t count) {
+    if (raw_) return count * sizeof(double);
+    std::uint64_t cap = 0;
+    for (const std::uint64_t c : chunk_partition(count, chunks_for(count))) {
+      cap += codec_->max_compressed_bytes(c);
+    }
+    return cap;
+  };
   send_wire_cap_.resize(p);
   recv_wire_cap_.resize(p);
   for (std::size_t i = 0; i < p; ++i) {
-    if (raw_) {
-      send_wire_cap_[i] = sendcounts_[i] * sizeof(double);
-      recv_wire_cap_[i] = recvcounts_[i] * sizeof(double);
-    } else if (fixed_) {
-      std::uint64_t s = 0;
-      for (const std::uint64_t c :
-           chunk_partition(sendcounts_[i], chunks_for(sendcounts_[i]))) {
-        s += codec_->max_compressed_bytes(c);
-      }
-      send_wire_cap_[i] = s;
-      std::uint64_t q = 0;
-      for (const std::uint64_t c :
-           chunk_partition(recvcounts_[i], chunks_for(recvcounts_[i]))) {
-        q += codec_->max_compressed_bytes(c);
-      }
-      recv_wire_cap_[i] = q;
-    } else {
-      send_wire_cap_[i] = codec_->max_compressed_bytes(sendcounts_[i]);
-      recv_wire_cap_[i] = codec_->max_compressed_bytes(recvcounts_[i]);
-    }
-  }
-
-  // Capacity-prefix staging offsets (shared by one-sided variable staging
-  // and the whole two-sided send slab).
-  stage_off_.resize(p);
-  std::uint64_t s_total = 0;
-  // Coded staging frames carry the checksum (one-sided: [csum][payload])
-  // or the whole frame (two-sided: [header][csum][payload]) ahead of the
-  // payload; grant every destination the frame prefix and keep offsets
-  // 8-aligned so the u64 words can be stored directly.
-  const std::uint64_t spad = coded_ ? coded::kFrameBytes : 0;
-  for (std::size_t i = 0; i < p; ++i) {
-    stage_off_[i] = s_total;
-    s_total += send_wire_cap_[i] + spad;
-    if (coded_) s_total = align8(s_total);
+    send_wire_cap_[i] = wire_cap(sendcounts_[i]);
+    recv_wire_cap_[i] = wire_cap(recvcounts_[i]);
   }
 
   if (backend_ == PlanBackend::kTwoSided) {
-    // Raw messages go out straight from the send span: no staging.
-    if (!raw_) stage_.resize(s_total);
-    if (coded_ && parity_ > 0) {
-      // Parity replica slab, reused per pairwise partner: m clean copies
-      // of the largest data frame can be in flight at once.
-      std::uint64_t fmax = 0;
-      for (std::size_t i = 0; i < p; ++i) {
-        fmax = std::max(fmax, send_wire_cap_[i]);
-      }
-      pstage_stride_ = align8(coded::kFrameBytes + fmax);
-      pstage_.resize(pstage_stride_ * static_cast<std::size_t>(parity_));
+    // Raw messages go out straight from the send span: no staging. Codec
+    // messages stage every destination at capacity-prefix offsets; coded
+    // frames carry [header][checksum] ahead of the payload, kept 8-aligned
+    // so the u64 words can be stored directly.
+    if (raw_) return;
+    const std::uint64_t spad = coded_ ? coded::kFrameBytes : 0;
+    stage_off_.resize(p);
+    std::uint64_t total = 0;
+    std::uint64_t fmax = 0;
+    for (std::size_t i = 0; i < p; ++i) {
+      stage_off_[i] = total;
+      total += send_wire_cap_[i] + spad;
+      if (coded_) total = align8(total);
+      fmax = std::max(fmax, send_wire_cap_[i]);
     }
+    stage_.resize(total);
+    // Parity replica slab, reused per pairwise partner: m clean copies of
+    // the largest data frame can be in flight at once.
+    pstage_stride_ = align8(coded::kFrameBytes + fmax);
+    pstage_.resize(pstage_stride_ * static_cast<std::size_t>(parity_));
     return;
   }
 
@@ -179,34 +180,40 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   // slots carry an 8-aligned u64 header word ahead of the payload — the
   // size + completion word put_with_header/put_header release-store.
   slot_offset_.resize(p);
+  unpack_range_.resize(p);
   std::uint64_t window_bytes = 0;
   for (std::size_t i = 0; i < p; ++i) {
     if (raw_) {
       slot_offset_[i] = recvdispls_[i] * sizeof(double);
       continue;
     }
+    // Codec slot: the header word, then the message's chunks at their
+    // capacities, each chunk an unpack job. Coded slot: one
+    // [header][checksum][payload @ cap] frame per chunk, then parity_
+    // parity frames at the group capacity L (the largest data chunk's cap —
+    // chunk_partition's tail); every frame self-notifies through its own
+    // header word.
     slot_offset_[i] = window_bytes;
-    if (!coded_) {
-      window_bytes += minimpi::kHeaderWordBytes + recv_wire_cap_[i];
-      // Keep the next slot's header word 8-aligned.
-      window_bytes = align8(window_bytes);
-      continue;
-    }
-    // Coded slot: one [header][checksum][payload @ cap] frame per pipeline
-    // chunk, then parity_ parity frames at the group capacity L (the
-    // largest data chunk's cap — chunk_partition's tail). Every frame
-    // self-notifies through its own header word.
+    const std::size_t begin = unpack_jobs_.size();
+    if (!coded_) window_bytes += minimpi::kHeaderWordBytes;
+    std::uint64_t elem = 0;
     std::uint64_t L = 0;
-    std::size_t k = 0;
     for (const std::uint64_t c :
          chunk_partition(recvcounts_[i], chunks_for(recvcounts_[i]))) {
       const std::uint64_t cap = codec_->max_compressed_bytes(c);
-      coded_roff_.push_back(window_bytes);
-      window_bytes = align8(window_bytes + coded::kFrameBytes + cap);
+      if (coded_) window_bytes += coded::kFrameBytes;
+      unpack_jobs_.push_back(
+          PlanChunk{static_cast<int>(i), elem, c, window_bytes, cap, 0});
+      window_bytes += cap;
+      if (coded_) window_bytes = align8(window_bytes);
+      elem += c;
       L = std::max(L, cap);
-      ++k;
     }
-    LFFT_REQUIRE(k <= static_cast<std::size_t>(coded::kMaxDataChunks),
+    unpack_range_[i] = {begin, unpack_jobs_.size()};
+    window_bytes = align8(window_bytes);  // Next slot's header word.
+    if (!coded_) continue;
+    LFFT_REQUIRE(unpack_jobs_.size() - begin <=
+                     static_cast<std::size_t>(coded::kMaxDataChunks),
                  "ExchangePlan: coded exchange supports at most "
                  "kMaxDataChunks pipeline chunks per message");
     coded_L_.push_back(L);
@@ -216,7 +223,7 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
     }
   }
   // The one-time offset exchange: each receiver tells every source where to
-  // put. Hoisted here from the old per-call path.
+  // put.
   target_offset_.resize(p);
   minimpi::alltoall(
       comm_, std::as_bytes(std::span<const std::uint64_t>(slot_offset_)),
@@ -251,95 +258,70 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
     decode_inflight_.reserve(p * static_cast<std::size_t>(batch_));
   }
 
+  round_jobs_.resize(static_cast<std::size_t>(nodes));
   if (raw_) return;
-  if (!fixed_) {
-    // Variable: all-destination slab, one bank per batch field.
-    stage_.resize(s_total * static_cast<std::size_t>(batch_));
-    send_wire_.resize(p * static_cast<std::size_t>(batch_));
-    if (!coded_) return;
-  }
 
-  if (fixed_) {
-    // Fixed codec: pin every round's chunk jobs. The round slab is reused
-    // each round (sized for the largest), exactly the old per-call arena
-    // footprint. Coded plans stage [checksum][payload] per frame (the
-    // header word rides the put) and append the group's parity jobs after
-    // its data jobs; target offsets walk the receiver's frame layout,
-    // which both sides derive from the same counts.
-    round_jobs_.resize(static_cast<std::size_t>(nodes));
-    std::uint64_t slab = 0;
-    std::size_t max_jobs = 0;
-    for (int j = 0; j < nodes; ++j) {
-      auto& jobs = round_jobs_[static_cast<std::size_t>(j)];
-      std::uint64_t round_off = 0;
-      for (const int dst : rounds_[static_cast<std::size_t>(j)]) {
-        const auto d = static_cast<std::size_t>(dst);
-        const std::uint64_t count = sendcounts_[d];
-        if (count == 0) continue;
-        std::uint64_t elem = 0;
-        std::uint64_t wire_off = 0;
-        std::uint64_t L = 0;
-        std::size_t k = 0;
-        for (const std::uint64_t c :
-             chunk_partition(count, chunks_for(count))) {
-          const std::uint64_t cap = codec_->max_compressed_bytes(c);
-          if (coded_) {
-            jobs.push_back(
-                PlanChunk{dst, elem, c, round_off, cap,
-                          target_offset_[d] + wire_off, /*prow=*/-1});
-            round_off = align8(round_off + minimpi::kHeaderWordBytes + cap);
-            wire_off = align8(wire_off + coded::kFrameBytes + cap);
-            L = std::max(L, cap);
-          } else {
-            jobs.push_back(PlanChunk{
-                dst, elem, c, round_off, cap,
-                target_offset_[d] + minimpi::kHeaderWordBytes + wire_off});
-            round_off += cap;
-            wire_off += cap;
-          }
-          elem += c;
-          ++k;
+  // Pin every round's chunk jobs, for both rate classes: a fixed-rate
+  // message is its pipeline chunks, a variable-rate message one chunk at
+  // max_compressed_bytes capacity. The round slab is reused each round and
+  // each field (sized for the largest round). Coded plans stage
+  // [checksum][payload] per frame (the header word rides the put) and
+  // append the group's parity jobs after its data jobs; target offsets
+  // walk the receiver's frame layout, which both sides derive from the
+  // same counts.
+  std::uint64_t slab = 0;
+  std::size_t max_jobs = 0;
+  for (int j = 0; j < nodes; ++j) {
+    auto& jobs = round_jobs_[static_cast<std::size_t>(j)];
+    std::uint64_t round_off = 0;
+    for (const int dst : rounds_[static_cast<std::size_t>(j)]) {
+      const auto d = static_cast<std::size_t>(dst);
+      const std::uint64_t count = sendcounts_[d];
+      if (count == 0) continue;
+      const std::uint64_t data_off = round_off;
+      std::uint64_t elem = 0;
+      std::uint64_t wire_off = 0;
+      std::uint64_t L = 0;
+      std::size_t k = 0;
+      for (const std::uint64_t c : chunk_partition(count, chunks_for(count))) {
+        const std::uint64_t cap = codec_->max_compressed_bytes(c);
+        if (coded_) {
+          jobs.push_back(PlanChunk{dst, elem, c, round_off, cap,
+                                   target_offset_[d] + wire_off, -1});
+          round_off = align8(round_off + minimpi::kHeaderWordBytes + cap);
+          wire_off = align8(wire_off + coded::kFrameBytes + cap);
+          L = std::max(L, cap);
+        } else {
+          jobs.push_back(PlanChunk{
+              dst, elem, c, round_off, cap,
+              target_offset_[d] + minimpi::kHeaderWordBytes + wire_off});
+          round_off += cap;
+          wire_off += cap;
         }
-        LFFT_REQUIRE(!coded_ ||
-                         k <= static_cast<std::size_t>(coded::kMaxDataChunks),
-                     "ExchangePlan: coded exchange supports at most "
-                     "kMaxDataChunks pipeline chunks per message");
-        for (int jj = 0; jj < parity_; ++jj) {
-          jobs.push_back(PlanChunk{dst, 0, 0, round_off, L,
-                                   target_offset_[d] + wire_off, jj});
-          round_off = align8(round_off + minimpi::kHeaderWordBytes + L);
-          wire_off = align8(wire_off + coded::kFrameBytes + L);
-        }
+        elem += c;
+        ++k;
       }
-      slab = std::max(slab, round_off);
-      max_jobs = std::max(max_jobs, jobs.size());
+      LFFT_REQUIRE(!coded_ ||
+                       k <= static_cast<std::size_t>(coded::kMaxDataChunks),
+                   "ExchangePlan: coded exchange supports at most "
+                   "kMaxDataChunks pipeline chunks per message");
+      // RS over one data chunk is the identity (α_1^j = 1): a one-chunk
+      // group's parity jobs re-put its staged data frame as replicas.
+      for (int jj = 0; jj < parity_; ++jj) {
+        jobs.push_back(PlanChunk{dst, 0, 0, k == 1 ? data_off : round_off, L,
+                                 target_offset_[d] + wire_off, jj});
+        if (k > 1) {
+          round_off = align8(round_off + minimpi::kHeaderWordBytes + L);
+        }
+        wire_off = align8(wire_off + coded::kFrameBytes + L);
+      }
     }
-    stage_.resize(slab);
-    inflight_.reserve(max_jobs);
+    slab = std::max(slab, round_off);
+    max_jobs = std::max(max_jobs, jobs.size());
   }
-
-  // Unpack schedule: fixed codecs always; variable-rate only when coded
-  // (their single frame per source still needs the scan directory).
-  unpack_range_.resize(p);
-  std::size_t fidx = 0;  // Walks coded_roff_ in the same (source, chunk)
-                         // order the layout loop pushed it.
-  for (std::size_t s = 0; s < p; ++s) {
-    const std::size_t begin = unpack_jobs_.size();
-    const std::uint64_t count = recvcounts_[s];
-    std::uint64_t elem = 0;
-    std::uint64_t wire_off = 0;
-    for (const std::uint64_t c : chunk_partition(count, chunks_for(count))) {
-      const std::uint64_t cap = codec_->max_compressed_bytes(c);
-      const std::uint64_t off =
-          coded_ ? coded_roff_[fidx++] + coded::kFrameBytes
-                 : slot_offset_[s] + minimpi::kHeaderWordBytes + wire_off;
-      unpack_jobs_.push_back(
-          PlanChunk{static_cast<int>(s), elem, c, off, cap, 0});
-      elem += c;
-      wire_off += cap;
-    }
-    unpack_range_[s] = {begin, unpack_jobs_.size()};
-  }
+  stage_.resize(slab);
+  job_bytes_.resize(max_jobs);
+  inflight_.reserve(max_jobs);
 
   if (coded_) {
     // Pinned reconstruction scratch: disjoint per (source, field), so the
@@ -360,13 +342,7 @@ ExchangePlan::~ExchangePlan() = default;
 
 ExchangeStats ExchangePlan::execute(std::span<const double> send,
                                     std::span<double> recv) {
-  LFFT_REQUIRE(recv.data() == recv_pinned_.data() &&
-                   recv.size() == recv_extent_,
-               "ExchangePlan::execute: recv must be the first field of the "
-               "span pinned at plan construction");
-  return backend_ == PlanBackend::kOneSided
-             ? execute_one_sided(send, recv, 1)
-             : execute_two_sided(send, recv);
+  return execute_batch(send, recv, 1);
 }
 
 ExchangeStats ExchangePlan::execute_batch(std::span<const double> send,
@@ -435,42 +411,6 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const double> send,
     straggler_waits_.store(0, std::memory_order_relaxed);
   }
 
-  // --- Variable codec: compress every (field, destination) up front -------
-  // The data-dependent sizes ride in the slot header words (written by the
-  // same put as the payload), so no size collective runs — steady-state
-  // execute() is collective-free for every codec class. Stage bank f holds
-  // field f's destinations; send_wire_[f*p + i] its actual sizes. Coded
-  // plans stage [checksum][payload] frames (the checksum word is computed
-  // right after the encode, while the bytes are hot).
-  const std::size_t sstride =
-      raw_ || fixed_ ? 0 : stage_.size() / static_cast<std::size_t>(batch_);
-  if (!raw_ && !fixed_) {
-    const auto compress_dst = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t k = lo; k < hi; ++k) {
-        const std::size_t f = k / static_cast<std::size_t>(p_);
-        const std::size_t i = k % static_cast<std::size_t>(p_);
-        std::byte* const frame =
-            stage_.data() + f * sstride + stage_off_[i];
-        std::byte* const payload =
-            frame + (coded_ ? minimpi::kHeaderWordBytes : 0);
-        send_wire_[k] = codec_->compress(
-            field_send(f).subspan(senddispls_[i], sendcounts_[i]),
-            std::span<std::byte>(payload, send_wire_cap_[i]));
-        if (coded_) {
-          const std::uint64_t csum = fnv1a64(
-              std::span<const std::byte>(payload, send_wire_[k]));
-          std::memcpy(frame, &csum, sizeof(csum));
-        }
-      }
-    };
-    const std::size_t work = static_cast<std::size_t>(p_) * nf;
-    if (workers_ > 1) {
-      WorkerPool::global().parallel_for(work, 1, compress_dst, workers_);
-    } else {
-      compress_dst(0, work);
-    }
-  }
-
   // --- Epoch open ---------------------------------------------------------
   // The opening fence keeps this epoch's puts out of buffers the target is
   // still writing locally: a slower rank draining epoch N-1's decode, or —
@@ -484,8 +424,7 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const double> send,
 
   // --- Ring of puts (Algorithm 3) -----------------------------------------
   const bool pscw = options_.sync == OscSync::kPscw;
-  const bool pipelined = !raw_ && fixed_ && workers_ > 1 &&
-                         WorkerPool::global().workers() > 0;
+  const bool pool = !raw_ && workers_ > 1 && WorkerPool::global().workers() > 0;
   // Target-side pipelined decode (kPscw codec modes): once round j's
   // exposure epoch closes, each source slot of that round is complete and
   // its decode+unpack runs while rounds j+1..n are still putting. With
@@ -495,11 +434,11 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const double> send,
   // shard (parallel_granularity > 0) decode inline instead: a pool task
   // would run its inner fan-out sequentially (nested-submit guard), while
   // the rank thread can spread one big slot across the whole pool.
-  const bool decode_async = pscw && !raw_ && workers_ > 1 &&
-                            WorkerPool::global().workers() > 0 &&
-                            (fixed_ || codec_->parallel_granularity() == 0);
+  const bool decode_async =
+      pscw && pool && (fixed_ || codec_->parallel_granularity() == 0);
   // Coded stage frames put the checksum word ahead of the payload.
   const std::uint64_t job_pay = coded_ ? minimpi::kHeaderWordBytes : 0;
+  // Encode one data chunk into its staging; returns the encoded size.
   const auto compress_job = [&](const PlanChunk& job,
                                 std::span<const double> fsend) {
     const std::size_t used = codec_->compress(
@@ -508,7 +447,9 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const double> send,
                       job.elem_cnt),
         std::span<std::byte>(stage_.data() + job.stage_off + job_pay,
                              job.wire_bytes));
-    LFFT_ASSERT(used == job.wire_bytes);  // Fixed-size codecs are exact.
+    // Fixed-size codecs are exact.
+    LFFT_ASSERT(fixed_ ? used == job.wire_bytes : used <= job.wire_bytes);
+    return std::uint64_t{used};
   };
 
   const int nodes = static_cast<int>(rounds_.size());
@@ -518,30 +459,31 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const double> send,
       win_->post(pscw_sources_[static_cast<std::size_t>(j)]);
       win_->start(round);
     }
-    const auto* jobs = raw_ || !fixed_
-                           ? nullptr
-                           : &round_jobs_[static_cast<std::size_t>(j)];
+    const auto& jobs = round_jobs_[static_cast<std::size_t>(j)];
     // All fields of the batch put inside this one exposure epoch; fields
-    // run sequentially so the fixed-codec round slab can be recycled (puts
-    // are synchronous copies, so reuse after put is safe).
+    // run sequentially so the round slab can be recycled (puts are
+    // synchronous copies, so reuse after put is safe).
     for (std::size_t f = 0; f < nf; ++f) {
       const std::span<const double> fsend = field_send(f);
-      if (pipelined) {
+      if (pool) {
         // Hand the whole round to the pool: chunk k+1 compresses while
         // chunk k is being put — Section V-B's stream overlap executed for
-        // real. Parity jobs stay off the pool: they encode over the
-        // group's staged payloads, serially, after those are reaped.
+        // real. Each job's encoded size lands in its job_bytes_ slot.
+        // Parity jobs stay off the pool: they encode over the group's
+        // staged payloads, serially, after those are reaped.
         inflight_.clear();
-        for (const PlanChunk& job : *jobs) {
-          if (job.prow >= 0) continue;
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+          if (jobs[i].prow >= 0) continue;
           inflight_.push_back(WorkerPool::global().submit(
-              [&compress_job, &job, fsend] { compress_job(job, fsend); }));
+              [&compress_job, &job = jobs[i], out = &job_bytes_[i], fsend] {
+                *out = compress_job(job, fsend);
+              }));
         }
       }
       std::size_t next_job = 0;
       std::size_t next_inflight = 0;
       // Coded: the group's staged payload spans, collected while its data
-      // chunks are put, consumed by the parity encodes that follow.
+      // chunks are put, consumed by the parity jobs that follow.
       std::array<std::span<const std::byte>, coded::kMaxDataChunks> gspans;
       std::size_t gk = 0;
       for (const int dst : round) {
@@ -559,103 +501,65 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const double> send,
           ++stats.chunks_issued;
           continue;
         }
-        if (!fixed_) {
-          const std::uint64_t wire =
-              send_wire_[f * static_cast<std::size_t>(p_) + d];
-          const std::byte* const frame =
-              stage_.data() + f * sstride + stage_off_[d];
-          if (!coded_) {
-            // Pre-compressed: one put of the whole stream, notify included
-            // — the header word delivers the data-dependent byte count.
-            win_->put_with_header(
-                std::span<const std::byte>(frame, wire), dst,
-                target_offset_[d] + bank_off(d, f), make_slot_header(seq, wire));
-            stats.wire_bytes += wire;
-            ++stats.chunks_issued;
-            continue;
-          }
-          // Coded variable rate: the message is one chunk (k = 1), so RS
-          // parity degenerates to replicas (α_1^j = 1) — the staged
-          // [checksum][payload] frame goes out once per parity slot, each
-          // put an independent fault-injection target. The parity header
-          // carries the data-dependent byte count the receiver re-validates
-          // a reconstructed chunk against.
-          const std::uint64_t h = make_slot_header(seq, wire);
-          const std::span<const std::byte> fr(
-              frame, minimpi::kHeaderWordBytes + wire);
-          win_->put_with_header(fr, dst, target_offset_[d] + bank_off(d, f),
-                                h);
-          stats.wire_bytes += coded::kFrameBytes + wire;
-          ++stats.chunks_issued;
-          const std::uint64_t fstride =
-              align8(coded::kFrameBytes + send_wire_cap_[d]);
-          for (int jj = 0; jj < parity_; ++jj) {
-            win_->put_with_header(
-                fr, dst,
-                target_offset_[d] +
-                    static_cast<std::uint64_t>(jj + 1) * fstride +
-                    bank_off(d, f),
-                h);
-            stats.wire_bytes += coded::kFrameBytes + wire;
-            stats.parity_bytes += coded::kFrameBytes + wire;
-            ++stats.chunks_issued;
-          }
-          continue;
-        }
         gk = 0;
-        while (next_job < jobs->size() && (*jobs)[next_job].peer == dst) {
-          const PlanChunk& job = (*jobs)[next_job];
+        std::uint64_t msg_bytes = 0;
+        for (; next_job < jobs.size() && jobs[next_job].peer == dst;
+             ++next_job) {
+          const PlanChunk& job = jobs[next_job];
+          std::byte* const fr = stage_.data() + job.stage_off;
+          std::uint64_t bytes = job.wire_bytes;
           if (job.prow < 0) {
-            if (pipelined) {
+            if (pool) {
               inflight_[next_inflight++].get();  // Rethrows a failed
                                                  // chunk's error.
             } else {
-              compress_job(job, fsend);
+              job_bytes_[next_job] = compress_job(job, fsend);
             }
+            bytes = job_bytes_[next_job];
           }
           if (!coded_) {
-            win_->put(
-                std::span<const std::byte>(stage_.data() + job.stage_off,
-                                           job.wire_bytes),
-                dst, job.target_off + bank_off(d, f));
-            stats.wire_bytes += job.wire_bytes;
+            win_->put(std::span<const std::byte>(fr, bytes), dst,
+                      job.target_off + bank_off(d, f));
+            msg_bytes += bytes;
+            stats.wire_bytes += bytes;
             ++stats.chunks_issued;
-            ++next_job;
             continue;
           }
-          // Coded fixed rate: each chunk travels as its own self-notifying
+          // Coded: each chunk travels as its own self-notifying
           // [header][checksum][payload] frame; parity jobs (prow >= 0)
-          // encode RS row prow over the group's staged payloads.
-          std::byte* const fr = stage_.data() + job.stage_off;
-          if (job.prow < 0) {
-            gspans[gk++] = std::span<const std::byte>(
-                fr + minimpi::kHeaderWordBytes, job.wire_bytes);
+          // encode RS row prow over the group's staged payloads, or re-put
+          // a one-chunk group's data frame (job.stage_off points at it) —
+          // each put an independent fault-injection target.
+          if (job.prow >= 0 && gk == 1) {
+            bytes = gspans[0].size();
           } else {
-            coded::rs_encode(
-                job.prow,
-                std::span<const std::span<const std::byte>>(gspans.data(),
-                                                            gk),
-                std::span<std::byte>(fr + minimpi::kHeaderWordBytes,
-                                     job.wire_bytes));
-            stats.parity_bytes += coded::kFrameBytes + job.wire_bytes;
+            const std::span<std::byte> payload(
+                fr + minimpi::kHeaderWordBytes, bytes);
+            if (job.prow < 0) {
+              gspans[gk++] = payload;
+            } else {
+              coded::rs_encode(
+                  job.prow,
+                  std::span<const std::span<const std::byte>>(gspans.data(),
+                                                              gk),
+                  payload);
+            }
+            const std::uint64_t csum = fnv1a64(payload);
+            std::memcpy(fr, &csum, sizeof(csum));
           }
-          const std::uint64_t csum = fnv1a64(std::span<const std::byte>(
-              fr + minimpi::kHeaderWordBytes, job.wire_bytes));
-          std::memcpy(fr, &csum, sizeof(csum));
           win_->put_with_header(
-              std::span<const std::byte>(
-                  fr, minimpi::kHeaderWordBytes + job.wire_bytes),
+              std::span<const std::byte>(fr, minimpi::kHeaderWordBytes + bytes),
               dst, job.target_off + bank_off(d, f),
-              make_slot_header(seq, job.wire_bytes));
-          stats.wire_bytes += coded::kFrameBytes + job.wire_bytes;
+              make_slot_header(seq, bytes));
+          stats.wire_bytes += coded::kFrameBytes + bytes;
+          if (job.prow >= 0) stats.parity_bytes += coded::kFrameBytes + bytes;
           ++stats.chunks_issued;
-          ++next_job;
         }
-        // All of dst's chunks are delivered: raise the notify flag (coded
-        // frames each carried their own).
+        // All of dst's chunks are delivered: raise the notify flag with the
+        // message's encoded size (coded frames each carried their own).
         if (!coded_) {
           win_->put_header(dst, target_offset_[d] + bank_off(d, f),
-                           make_slot_header(seq, send_wire_cap_[d]));
+                           make_slot_header(seq, msg_bytes));
         }
       }
     }
@@ -772,24 +676,18 @@ void ExchangePlan::decode_source(std::size_t s, std::uint16_t seq,
   // synchronization bug, caught here instead of decoding garbage.
   LFFT_ASSERT(static_cast<std::uint16_t>(header >> 48) == seq);
   const std::uint64_t wire = header & kHeaderBytesMask;
-  if (fixed_) {
-    LFFT_ASSERT(wire == recv_wire_cap_[s]);
-    const auto [begin, end] = unpack_range_[s];
-    for (std::size_t i = begin; i < end; ++i) {
-      const PlanChunk& job = unpack_jobs_[i];
-      codec_->decompress(
-          std::span<const std::byte>(
-              window_store_.data() + bank + job.stage_off, job.wire_bytes),
-          recv.subspan(recvdispls_[s] + job.elem_off, job.elem_cnt));
-    }
-    return;
+  LFFT_ASSERT(fixed_ ? wire == recv_wire_cap_[s] : wire <= recv_wire_cap_[s]);
+  // A one-chunk message decodes the header's byte count (a variable-rate
+  // stream's encoded size); the chunks of a longer, fixed-rate message
+  // decode at their exact capacities.
+  const auto [begin, end] = unpack_range_[s];
+  for (std::size_t i = begin; i < end; ++i) {
+    const PlanChunk& job = unpack_jobs_[i];
+    codec_->decompress(
+        std::span<const std::byte>(window_store_.data() + bank + job.stage_off,
+                                   end - begin == 1 ? wire : job.wire_bytes),
+        recv.subspan(recvdispls_[s] + job.elem_off, job.elem_cnt));
   }
-  codec_->decompress(
-      std::span<const std::byte>(window_store_.data() + bank +
-                                     slot_offset_[s] +
-                                     minimpi::kHeaderWordBytes,
-                                 wire),
-      recv.subspan(recvdispls_[s], recvcounts_[s]));
 }
 
 void ExchangePlan::decode_source_coded(std::size_t s, std::uint16_t seq,
@@ -836,8 +734,9 @@ void ExchangePlan::decode_source_coded(std::size_t s, std::uint16_t seq,
     e = 0;
     np = 0;
     for (std::size_t i = 0; i < k; ++i) {
-      clean[i] = frame_bytes(coded_roff_[begin + i],
-                             unpack_jobs_[begin + i].wire_bytes, &nbytes[i]);
+      const PlanChunk& job = unpack_jobs_[begin + i];
+      clean[i] = frame_bytes(job.stage_off - coded::kFrameBytes,
+                             job.wire_bytes, &nbytes[i]);
       if (!clean[i]) erased[e++] = static_cast<int>(i);
     }
     if (e == 0) return;
@@ -886,7 +785,7 @@ void ExchangePlan::decode_source_coded(std::size_t s, std::uint16_t seq,
     for (std::size_t i = 0; i < k; ++i) {
       if (clean[i]) {
         dspans[i] = std::span<const std::byte>(
-            w + coded_roff_[begin + i] + coded::kFrameBytes, nbytes[i]);
+            w + unpack_jobs_[begin + i].stage_off, nbytes[i]);
       }
     }
     std::array<std::span<std::byte>, coded::kMaxParity> scratch{};
@@ -916,8 +815,7 @@ void ExchangePlan::decode_source_coded(std::size_t s, std::uint16_t seq,
     const std::uint64_t b =
         clean[i] ? nbytes[i] : (fixed_ ? job.wire_bytes : pbytes[0]);
     const std::byte* const src =
-        clean[i] ? w + coded_roff_[begin + i] + coded::kFrameBytes
-                 : solved_for[i].data();
+        clean[i] ? w + job.stage_off : solved_for[i].data();
     codec_->decompress(
         std::span<const std::byte>(src, b),
         recv.subspan(recvdispls_[s] + job.elem_off, job.elem_cnt));
@@ -934,7 +832,6 @@ void ExchangePlan::rethrow_decode_error() {
 
 ExchangeStats ExchangePlan::execute_two_sided(std::span<const double> send,
                                               std::span<double> recv) {
-  if (coded_) return execute_two_sided_coded(send, recv);
   // Pairwise exchange with the codec fused into the transport: encode runs
   // inside isend_produce (straight into the eager slab, or into this
   // plan's pinned staging published zero-copy), decode runs inside
@@ -944,100 +841,14 @@ ExchangeStats ExchangePlan::execute_two_sided(std::span<const double> send,
   // of the send span itself, so at rendezvous sizes its only copy is the
   // receiver's IdentityCodec decode. Peers agree on which pairs exchange
   // because count knowledge is symmetric.
-  const auto p = static_cast<std::size_t>(p_);
-  const int me = comm_.rank();
-  ExchangeStats stats;
-  stats.rounds = p_;
-  for (std::size_t i = 0; i < p; ++i) {
-    stats.payload_bytes += sendcounts_[i] * sizeof(double);
-    if (sendcounts_[i] > 0) ++stats.messages;
-  }
-
-  // Self message: a local codec round trip (kept — the exchange must stay
-  // byte-identical to the one-sided paths, lossiness included); raw mode
-  // decodes the send span itself, one copy.
-  const auto m = static_cast<std::size_t>(me);
-  if (sendcounts_[m] > 0) {
-    const std::span<const double> block =
-        send.subspan(senddispls_[m], sendcounts_[m]);
-    std::span<const std::byte> wire = std::as_bytes(block);
-    if (!raw_) {
-      std::byte* const staging = stage_.data() + stage_off_[m];
-      wire = std::span<const std::byte>(
-          staging, codec_->compress(block, std::span<std::byte>(
-                                               staging, send_wire_cap_[m])));
-    }
-    stats.wire_bytes += wire.size();
-    codec_->decompress(wire, recv.subspan(recvdispls_[m], recvcounts_[m]));
-    if (recvcounts_[m] > 0) arrival_time_[m] = now_seconds();
-  }
-
-  for (int j = 1; j < p_; ++j) {
-    const auto dst = static_cast<std::size_t>((me + j) % p_);
-    const auto src = static_cast<std::size_t>((me - j + p_) % p_);
-    minimpi::Comm::Request req;
-    bool sent = false;
-    if (sendcounts_[dst] > 0) {
-      const std::span<const double> block =
-          send.subspan(senddispls_[dst], sendcounts_[dst]);
-      if (raw_) {
-        req = comm_.isend(std::as_bytes(block), static_cast<int>(dst),
-                          kFusedTag);
-        stats.wire_bytes += block.size_bytes();
-      } else {
-        const std::span<std::byte> staging(stage_.data() + stage_off_[dst],
-                                           send_wire_cap_[dst]);
-        if (fixed_) {
-          // Size is count-derived: the transport can place the encode.
-          req = comm_.isend_produce(
-              send_wire_cap_[dst], staging, static_cast<int>(dst), kFusedTag,
-              [&](std::span<std::byte> out) {
-                // Whole-message encodes may undershoot the cap on tail
-                // packing; the message still travels at cap size
-                // (decoders read only what they need).
-                const std::size_t used = codec_->compress(block, out);
-                LFFT_ASSERT(used <= out.size());
-              });
-          stats.wire_bytes += send_wire_cap_[dst];
-        } else {
-          // Variable size is known only after the encode: stage first,
-          // then publish (still zero intermediate copies at rendezvous
-          // sizes).
-          const std::size_t used = codec_->compress(block, staging);
-          req = comm_.isend(std::span<const std::byte>(staging.data(), used),
-                            static_cast<int>(dst), kFusedTag);
-          stats.wire_bytes += used;
-        }
-      }
-      sent = true;
-    }
-    if (recvcounts_[src] > 0) {
-      comm_.recv_consume(static_cast<int>(src), kFusedTag,
-                         [&](std::span<const std::byte> payload) {
-                           codec_->decompress(
-                               payload, recv.subspan(recvdispls_[src],
-                                                     recvcounts_[src]));
-                         });
-      // Per-partner completion: the pairwise loop's arrival event.
-      arrival_time_[src] = now_seconds();
-    }
-    if (sent) comm_.wait(req);
-  }
-  finish_skew_epoch(stats);
-  stats.chunks_issued = stats.messages;
-  return stats;
-}
-
-ExchangeStats ExchangePlan::execute_two_sided_coded(
-    std::span<const double> send, std::span<double> recv) {
-  // Pairwise fused exchange on the coded wire: every message travels as
-  // one [header][checksum][payload] frame plus parity_ replica frames on
-  // their own tags (one chunk per message, so RS parity degenerates to
-  // replicas — α_1^j = 1). The transport is reliable and ordered, so drops
-  // degrade to corruption (Comm::send_fault) and the frame scan detects
-  // every fault; a corrupt data frame recovers from the first clean
-  // replica, re-validated against its own header — byte-identical to a
-  // clean run.
+  //
+  // On the coded wire every message travels as one
+  // [header][checksum][payload] frame plus parity_ replica frames on their
+  // own tags (one chunk per message, so RS parity degenerates to replicas
+  // — α_1^j = 1). The transport is reliable and ordered, so drops degrade
+  // to corruption (Comm::send_fault) and the frame scan detects every
+  // fault; a corrupt data frame recovers from the first clean replica —
+  // byte-identical to a clean run.
   const auto p = static_cast<std::size_t>(p_);
   const int me = comm_.rank();
   const auto seq = static_cast<std::uint16_t>(++epoch_seq_);
@@ -1048,27 +859,37 @@ ExchangeStats ExchangePlan::execute_two_sided_coded(
     if (sendcounts_[i] > 0) ++stats.messages;
   }
 
-  // Fault injection brackets only this plan's own sends — cleared on every
-  // exit path so no unrelated traffic is ever faulted.
+  // Fault injection brackets only this plan's own coded sends — cleared on
+  // every exit path so no unrelated traffic is ever faulted.
   struct FaultScope {
-    minimpi::Comm& c;
-    ~FaultScope() { c.set_fault(nullptr, 0); }
-  } scope{comm_};
-  comm_.set_fault(options_.fault_plan, epoch_seq_);
+    minimpi::Comm* c;
+    ~FaultScope() {
+      if (c != nullptr) c->set_fault(nullptr, 0);
+    }
+  } scope{coded_ ? &comm_ : nullptr};
+  if (coded_) comm_.set_fault(options_.fault_plan, epoch_seq_);
+  const std::uint64_t spad = coded_ ? coded::kFrameBytes : 0;
 
-  // Self message: no transport, no faults — plain codec round trip (the
-  // exchange stays byte-identical to the one-sided paths, lossiness
-  // included).
+  // Self message: a local codec round trip with no transport and no faults
+  // (kept — the exchange must stay byte-identical to the one-sided paths,
+  // lossiness included); raw mode decodes the send span itself, one copy.
+  // The uncoded wire counts it as a chunk like every message; the coded
+  // wire counts the frames it sends, and this message sends none.
   const auto m = static_cast<std::size_t>(me);
   if (sendcounts_[m] > 0) {
-    std::span<std::byte> staging(
-        stage_.data() + stage_off_[m] + coded::kFrameBytes,
-        send_wire_cap_[m]);
-    const std::size_t used = codec_->compress(
-        send.subspan(senddispls_[m], sendcounts_[m]), staging);
-    stats.wire_bytes += used;
-    codec_->decompress(std::span<const std::byte>(staging.data(), used),
-                       recv.subspan(recvdispls_[m], recvcounts_[m]));
+    const std::span<const double> block =
+        send.subspan(senddispls_[m], sendcounts_[m]);
+    std::span<const std::byte> wire = std::as_bytes(block);
+    if (!raw_) {
+      std::byte* const staging = stage_.data() + stage_off_[m] + spad;
+      wire = std::span<const std::byte>(
+          staging, codec_->compress(block, std::span<std::byte>(
+                                               staging, send_wire_cap_[m])));
+    }
+    stats.wire_bytes += wire.size();
+    if (!coded_) ++stats.chunks_issued;
+    codec_->decompress(wire, recv.subspan(recvdispls_[m], recvcounts_[m]));
+    if (!coded_ && recvcounts_[m] > 0) arrival_time_[m] = now_seconds();
   }
 
   std::uint64_t reconstructed = 0;
@@ -1079,68 +900,88 @@ ExchangeStats ExchangePlan::execute_two_sided_coded(
     std::array<minimpi::Comm::Request, coded::kMaxParity> preq;
     bool sent = false;
     if (sendcounts_[dst] > 0) {
-      std::byte* const fr = stage_.data() + stage_off_[dst];
-      const std::size_t used = codec_->compress(
-          send.subspan(senddispls_[dst], sendcounts_[dst]),
-          std::span<std::byte>(fr + coded::kFrameBytes, send_wire_cap_[dst]));
-      const std::uint64_t h = make_slot_header(seq, used);
-      std::memcpy(fr, &h, sizeof(h));
-      const std::uint64_t csum = fnv1a64(
-          std::span<const std::byte>(fr + coded::kFrameBytes, used));
-      std::memcpy(fr + minimpi::kHeaderWordBytes, &csum, sizeof(csum));
-      const std::size_t fbytes = coded::kFrameBytes + used;
-      // Replica copies taken *before* the data isend: a rendezvous corrupt
-      // flips the staged frame itself, and the replicas must not inherit
-      // it. Each replica send is an independent fault-injection target.
-      for (int jj = 0; jj < parity_; ++jj) {
-        std::memcpy(
-            pstage_.data() + static_cast<std::size_t>(jj) * pstage_stride_,
-            fr, fbytes);
+      const std::span<const double> block =
+          send.subspan(senddispls_[dst], sendcounts_[dst]);
+      if (raw_) {
+        req = comm_.isend(std::as_bytes(block), static_cast<int>(dst),
+                          kFusedTag);
+        stats.wire_bytes += block.size_bytes();
+      } else if (fixed_ && !coded_) {
+        // Size is count-derived: the transport can place the encode.
+        req = comm_.isend_produce(
+            send_wire_cap_[dst],
+            std::span<std::byte>(stage_.data() + stage_off_[dst],
+                                 send_wire_cap_[dst]),
+            static_cast<int>(dst), kFusedTag, [&](std::span<std::byte> out) {
+              // Whole-message encodes may undershoot the cap on tail
+              // packing; the message still travels at cap size (decoders
+              // read only what they need).
+              const std::size_t used = codec_->compress(block, out);
+              LFFT_ASSERT(used <= out.size());
+            });
+        stats.wire_bytes += send_wire_cap_[dst];
+      } else {
+        // The encoded size is known only after the encode: stage first,
+        // then publish (still zero intermediate copies at rendezvous
+        // sizes). Coded replicas are copied *before* the data isend: a
+        // rendezvous corrupt flips the staged frame itself, and the
+        // replicas must not inherit it. Each replica send is an
+        // independent fault-injection target.
+        std::byte* const fr = stage_.data() + stage_off_[dst];
+        const std::size_t used = codec_->compress(
+            block, std::span<std::byte>(fr + spad, send_wire_cap_[dst]));
+        const std::span<const std::byte> frame(fr, spad + used);
+        if (coded_) {
+          const std::uint64_t h = make_slot_header(seq, used);
+          std::memcpy(fr, &h, sizeof(h));
+          const std::uint64_t csum = fnv1a64(frame.subspan(spad));
+          std::memcpy(fr + minimpi::kHeaderWordBytes, &csum, sizeof(csum));
+        }
+        for (int jj = 0; jj < parity_; ++jj) {
+          std::memcpy(pstage_.data() +
+                          static_cast<std::size_t>(jj) * pstage_stride_,
+                      fr, frame.size());
+        }
+        req = comm_.isend(frame, static_cast<int>(dst), kFusedTag);
+        for (int jj = 0; jj < parity_; ++jj) {
+          preq[static_cast<std::size_t>(jj)] = comm_.isend(
+              std::span<const std::byte>(
+                  pstage_.data() +
+                      static_cast<std::size_t>(jj) * pstage_stride_,
+                  frame.size()),
+              static_cast<int>(dst), kFusedParityTag + jj);
+        }
+        stats.wire_bytes +=
+            static_cast<std::uint64_t>(1 + parity_) * frame.size();
+        stats.parity_bytes +=
+            static_cast<std::uint64_t>(parity_) * frame.size();
       }
-      req = comm_.isend(std::span<const std::byte>(fr, fbytes),
-                        static_cast<int>(dst), kFusedTag);
-      for (int jj = 0; jj < parity_; ++jj) {
-        preq[static_cast<std::size_t>(jj)] = comm_.isend(
-            std::span<const std::byte>(
-                pstage_.data() +
-                    static_cast<std::size_t>(jj) * pstage_stride_,
-                fbytes),
-            static_cast<int>(dst), kFusedParityTag + jj);
-      }
-      stats.wire_bytes += static_cast<std::uint64_t>(1 + parity_) * fbytes;
-      stats.parity_bytes += static_cast<std::uint64_t>(parity_) * fbytes;
       stats.chunks_issued += 1 + parity_;
       sent = true;
     }
     if (recvcounts_[src] > 0) {
-      const std::uint64_t cap = recv_wire_cap_[src];
+      // The first clean frame of the message decodes (an uncoded message
+      // is its one frame); later frames are drained and discarded — the
+      // pairwise protocol consumes them regardless.
       bool done = false;
-      // First clean frame of the group wins; later frames are drained and
-      // discarded (the pairwise protocol consumes them regardless).
-      auto try_frame = [&](std::span<const std::byte> frame) {
-        if (done || frame.size() < coded::kFrameBytes) return;
-        std::uint64_t h = 0;
-        std::uint64_t csum = 0;
-        std::memcpy(&h, frame.data(), sizeof(h));
-        std::memcpy(&csum, frame.data() + minimpi::kHeaderWordBytes,
-                    sizeof(csum));
-        if (static_cast<std::uint16_t>(h >> 48) != seq) return;
-        const std::uint64_t b = h & kHeaderBytesMask;
-        // Whole-message fixed encodes may undershoot the cap on tail
-        // packing, so both rate classes validate b against the message
-        // length and the capacity.
-        if (b != frame.size() - coded::kFrameBytes || b > cap) return;
-        if (fnv1a64(frame.subspan(coded::kFrameBytes, b)) != csum) return;
-        codec_->decompress(frame.subspan(coded::kFrameBytes, b),
+      auto consume = [&](std::span<const std::byte> wire) {
+        if (done) return;
+        if (coded_) {
+          if (!clean_frame(wire, seq, recv_wire_cap_[src])) return;
+          wire = wire.subspan(coded::kFrameBytes);
+        }
+        codec_->decompress(wire,
                            recv.subspan(recvdispls_[src], recvcounts_[src]));
         done = true;
       };
-      comm_.recv_consume(static_cast<int>(src), kFusedTag, try_frame);
+      comm_.recv_consume(static_cast<int>(src), kFusedTag, consume);
       const bool data_clean = done;
       for (int jj = 0; jj < parity_; ++jj) {
         comm_.recv_consume(static_cast<int>(src), kFusedParityTag + jj,
-                           try_frame);
+                           consume);
       }
+      // Per-partner completion: the uncoded pairwise loop's arrival event.
+      if (!coded_) arrival_time_[src] = now_seconds();
       if (!data_clean && done) ++reconstructed;
       if (!done) {
         // Every frame of the group failed validation: unrecoverable. The
@@ -1161,6 +1002,7 @@ ExchangeStats ExchangePlan::execute_two_sided_coded(
       }
     }
   }
+  finish_skew_epoch(stats);
   stats.chunks_reconstructed = reconstructed;
   rethrow_decode_error();
   return stats;
@@ -1199,10 +1041,10 @@ std::uint64_t ExchangePlan::footprint_bytes() const {
   b += (sendcounts_.capacity() + senddispls_.capacity() +
         recvcounts_.capacity() + recvdispls_.capacity() +
         send_wire_cap_.capacity() + recv_wire_cap_.capacity() +
-        send_wire_.capacity() + stage_off_.capacity() +
+        job_bytes_.capacity() + stage_off_.capacity() +
         slot_offset_.capacity() + target_offset_.capacity() +
-        target_bank_stride_.capacity() + coded_roff_.capacity() +
-        coded_poff_.capacity() + coded_L_.capacity() + rec_off_.capacity()) *
+        target_bank_stride_.capacity() + coded_poff_.capacity() +
+        coded_L_.capacity() + rec_off_.capacity()) *
        sizeof(std::uint64_t);
   b += (arrival_time_.capacity() + source_lag_.capacity()) * sizeof(double);
   b += unpack_jobs_.capacity() * sizeof(PlanChunk);

@@ -10,20 +10,26 @@
 //  * the RMA Window (one-sided), created once and fence-reused per execute
 //    instead of create/destroy (two barriers) per call;
 //  * the slot-offset u64 all-to-all, run once at plan time. Slots are laid
-//    out at max_compressed_bytes capacities, so the layout is count-derived
-//    even for variable-rate codecs;
-//  * codec staging slabs, chunk partitions, ring schedule and PSCW source
-//    lists.
+//    out at chunk capacities, so the layout is count-derived for every
+//    codec class;
+//  * every ring round's chunk jobs, one round staging slab, the unpack
+//    jobs, the ring schedule and the PSCW source lists.
+//
+// Each transport has one codec loop. The one-sided ring (Algorithm 3)
+// encodes each destination's message chunk by chunk into the round slab
+// and puts it: a fixed-rate message is its Section V-B pipeline chunks, a
+// variable-rate message (szq, zfpx accuracy mode, byteplane RLE) one chunk
+// at max_compressed_bytes capacity. Every slot decodes through the same
+// unpack jobs.
 //
 // Wire format of a codec-mode window slot: one 8-aligned u64 header word
-// followed by the payload at max_compressed_bytes capacity. The header
-// packs (epoch sequence << 48 | compressed payload bytes) and is written by
-// the same put that delivers the payload (release-store after the payload
-// memcpy — put-with-notify). That word does two jobs:
+// followed by the message's chunks at their capacities. The header packs
+// (epoch sequence << 48 | encoded message bytes) and is release-stored
+// after the message's last chunk lands (put-with-notify). That word does
+// two jobs:
 //
-//  * it carries the data-dependent sizes of variable-rate codecs, so their
-//    executes run *zero* collectives in steady state (the old per-execute
-//    u64 size all-to-all is gone for every codec class);
+//  * it carries a variable-rate message's data-dependent size, so executes
+//    run *zero* collectives in steady state for every codec class;
 //  * it is the per-source completion flag behind target-side pipelined
 //    decode: under kPscw epochs, once round j's exposure closes the
 //    receiver verifies each source slot's header and dispatches that
@@ -37,12 +43,13 @@
 // tests/exchange_plan_test.cpp. (With workers > 1 the pipelined compress /
 // decode jobs allocate their task control blocks on submission.)
 //
-// The two-sided path fuses the codec into the transport
-// (Comm::isend_produce / recv_consume): the sender encodes straight into
-// the eager slab or its pinned staging, and the receiver decodes straight
-// out of the sender's published buffer, collapsing encode+copy+decode to a
-// single pass — the same copy count as the one-sided raw path. Raw
-// messages publish the send span itself.
+// The two-sided path is one pairwise loop with the codec fused into the
+// transport (Comm::isend_produce / recv_consume): the sender encodes
+// straight into the eager slab or its pinned staging, and the receiver
+// decodes straight out of the sender's published buffer, collapsing
+// encode+copy+decode to a single pass — the same copy count as the
+// one-sided raw path. Raw messages publish the send span itself; the coded
+// wire frames each message and sends its parity replicas on their own tags.
 //
 // Construction, execution, and destruction of a one-sided plan are
 // collective over the communicator (window lifecycle + offset exchange):
@@ -89,9 +96,9 @@ class ExchangePlan {
   ExchangePlan(const ExchangePlan&) = delete;
   ExchangePlan& operator=(const ExchangePlan&) = delete;
 
-  /// Run the exchange. Collective; `recv` must be the first pinned field
-  /// (the whole pinned span when options.batch == 1). The wire format is
-  /// byte-identical to the per-call free functions.
+  /// Run the exchange: execute_batch() with one field. Collective; `recv`
+  /// must be the first pinned field (the whole pinned span when
+  /// options.batch == 1).
   ExchangeStats execute(std::span<const double> send, std::span<double> recv);
 
   /// Exchange `fields` same-layout fields (1 <= fields <= options.batch)
@@ -111,7 +118,7 @@ class ExchangePlan {
   /// arrival, summed over epochs), one slot per communicator rank. Only the
   /// per-source observability paths record it — PSCW one-sided (a source is
   /// stamped when its round's exposure closes) and the uncoded two-sided
-  /// pairwise loop (stamped per recv_consume); fence epochs end in one
+  /// wire (stamped per recv_consume); fence epochs end in one
   /// global event and contribute nothing. Normalize by
   /// ExchangeStats::skew_epochs for a per-epoch figure. Local, not
   /// collective; the span stays valid for the plan's lifetime.
@@ -125,8 +132,9 @@ class ExchangePlan {
  private:
   // One unit of codec work pinned at plan time: chunk
   // [elem_off, elem_off+elem_cnt) of the message to/from peer `peer`,
-  // staged `wire_bytes` at `stage_off` (round slab for sends, absolute
-  // window offset for unpacks), put at `target_off` on the peer.
+  // at most `wire_bytes` (its capacity) staged at `stage_off` (round slab
+  // for sends, absolute payload offset in the window for unpacks), put at
+  // `target_off` on the peer.
   struct PlanChunk {
     int peer = 0;
     std::uint64_t elem_off = 0;
@@ -137,7 +145,8 @@ class ExchangePlan {
     // Coded mode: parity row index of this job (-1 = data chunk). Parity
     // jobs follow their group's data jobs and encode over the staged
     // payloads, so they run serially on the rank thread after the group's
-    // compresses are reaped.
+    // compresses are reaped. A one-chunk group's parity jobs are replicas:
+    // their stage_off is the data frame's, which they put again.
     int prow = -1;
   };
 
@@ -145,8 +154,6 @@ class ExchangePlan {
                                   std::span<double> recv, int fields);
   ExchangeStats execute_two_sided(std::span<const double> send,
                                   std::span<double> recv);
-  ExchangeStats execute_two_sided_coded(std::span<const double> send,
-                                        std::span<double> recv);
 
   /// Decode+unpack source `s`'s slot in field bank `f` into that field's
   /// `recv` span, after verifying the slot header's epoch sequence (the
@@ -189,12 +196,10 @@ class ExchangePlan {
   std::uint64_t recv_extent_ = 0;
   std::vector<std::uint64_t> sendcounts_, senddispls_;
   std::vector<std::uint64_t> recvcounts_, recvdispls_;
-  // Wire capacities (bytes, max_compressed_bytes-based; exact when fixed_).
+  // Wire capacities: the sum of each message's chunk capacities (exact
+  // when fixed_).
   std::vector<std::uint64_t> send_wire_cap_, recv_wire_cap_;
-  // One-sided variable codecs: per-execute actual wire sizes, one bank of
-  // p per batch field.
-  std::vector<std::uint64_t> send_wire_;
-  // Capacity-prefix byte offsets into the staging slab.
+  // Two-sided: capacity-prefix byte offsets into the staging slab.
   std::vector<std::uint64_t> stage_off_;
 
   // One-sided state. Codec-mode slot_offset_[i] points at source i's header
@@ -210,16 +215,19 @@ class ExchangePlan {
   std::uint64_t epoch_seq_ = 0;  // Stamped into slot headers each execute.
   std::vector<std::vector<int>> rounds_;        // ring_targets schedule.
   std::vector<std::vector<int>> pscw_sources_;  // ring_sources exposure.
-  std::vector<std::vector<PlanChunk>> round_jobs_;  // Fixed codec sends.
-  std::vector<PlanChunk> unpack_jobs_;              // Fixed codec unpacks.
-  // Per-source [begin, end) into unpack_jobs_ (fixed codecs).
+  std::vector<std::vector<PlanChunk>> round_jobs_;  // Codec sends.
+  std::vector<PlanChunk> unpack_jobs_;              // Codec unpacks.
+  // Per-source [begin, end) into unpack_jobs_.
   std::vector<std::pair<std::size_t, std::size_t>> unpack_range_;
+  // Encoded size of each data job of the round being put, indexed like
+  // round_jobs_[j]; pool jobs write their own slot.
+  std::vector<std::uint64_t> job_bytes_;
   std::vector<std::future<void>> inflight_;
   std::vector<std::future<void>> decode_inflight_;  // PSCW pipelined decode.
 
-  // Codec staging: one-sided fixed = largest round's chunk slab (reused
-  // every round, exactly the old per-call arena footprint); one-sided
-  // variable and two-sided = all destinations at capacity offsets.
+  // Codec staging: one-sided = the round slab, every codec class's chunks
+  // of the largest round, reused each round and each field of a batch;
+  // two-sided = all destinations at capacity offsets.
   std::vector<std::byte> stage_;
 
   // Arrival-skew scratch, pre-sized to p at construction so steady-state
@@ -232,12 +240,12 @@ class ExchangePlan {
   void finish_skew_epoch(ExchangeStats& stats);
 
   // --- Coded mode (parity / fault injection) ------------------------------
-  // Receive frame directory (one-sided): data frame i of source s sits at
-  // bank-0 window byte coded_roff_[unpack_range_[s].first + i] (the frame's
-  // header word; checksum at +8, payload at +16); its parity frames at
-  // coded_poff_[s * parity_ + j] with payload capacity coded_L_[s] (the
-  // group cap L = the largest data chunk's capacity).
-  std::vector<std::uint64_t> coded_roff_, coded_poff_, coded_L_;
+  // Receive frame directory (one-sided): data frame i of source s has its
+  // payload at unpack_jobs_[unpack_range_[s].first + i].stage_off (header
+  // word at -16, checksum at -8); its parity frames sit at bank-0 window
+  // byte coded_poff_[s * parity_ + j] with payload capacity coded_L_[s]
+  // (the group cap L = the largest data chunk's capacity).
+  std::vector<std::uint64_t> coded_poff_, coded_L_;
   // Pinned reconstruction scratch: (source s, field f) owns the disjoint
   // region [rec_off_[s] + f * rec_stride_, + parity_ * coded_L_[s]), so
   // concurrent decodes never share scratch.
