@@ -93,7 +93,7 @@ lossyfft_plan* lossyfft_plan_c2c_ex(lossyfft_comm* comm, int nx, int ny,
       // kOsc keeps the exchange planned even without a codec so the tuner
       // has a plan to configure; the decided path overrides the backend.
       options.backend = lossyfft::ExchangeBackend::kOsc;
-      options.autotune = true;
+      options.osc_sync = lossyfft::osc::OscSync::kAuto;
       break;
     default:
       return nullptr;

@@ -61,6 +61,9 @@ struct Fft3dOptions {
   /// extent-aware near-square grid per orientation (proc_grid2_for);
   /// kAuto overwrites this with the tuner's choice. Must factor p.
   std::array<int, 2> pencil_grid = {0, 0};
+  /// Every planned reshape's sync mode (ReshapeOptions::osc_sync). kAuto
+  /// routes plan construction through the model-guided tuner, which also
+  /// overrides reshape_workers and exchange_parity with its pick.
   osc::OscSync osc_sync = osc::OscSync::kFence;
   /// Codec/pack worker shards per reshape (see ReshapeOptions::workers):
   /// 1 = serial, 0 = full pool concurrency, k > 1 = k shards. Results are
@@ -80,18 +83,11 @@ struct Fft3dOptions {
   /// than the capacity are processed in capacity-sized chunks. 1 (default)
   /// keeps the per-field pipeline and the single-field memory footprint.
   int batch_fields = 1;
-  /// Route plan construction through the model-guided autotuner
-  /// (src/tuner/): the exchange signature (p, gpus_per_node, pair bytes,
-  /// codec class, tolerance) selects sync mode, path, and fan-out from the
-  /// calibrated netsim cost model, overriding osc_sync / reshape_workers.
-  /// Decisions come from the persistent tune cache (LOSSYFFT_TUNE_CACHE)
-  /// when warm, so steady-state plan construction runs no probes.
-  bool autotune = false;
   /// Coded-exchange parity per message group for every planned reshape
   /// (ReshapeOptions::exchange_parity): m > 0 ships m erasure-coded parity
   /// frames per round so targets reconstruct up to m missing / late /
   /// corrupt arrivals. Zero-fault coded runs stay byte-identical to
-  /// uncoded; under autotune the tuner's pick fills in a 0 here.
+  /// uncoded; under osc_sync = kAuto the tuner's pick fills in a 0 here.
   int exchange_parity = 0;
   /// Deterministic fault-injection plan for every planned reshape (tests;
   /// ReshapeOptions::fault_plan). Must outlive the Fft3d.
@@ -103,7 +99,7 @@ struct Fft3dOptions {
     ro.codec = codec;
     ro.osc_chunks = osc_chunks;
     ro.gpus_per_node = gpus_per_node;
-    ro.osc_sync = autotune ? osc::OscSync::kAuto : osc_sync;
+    ro.osc_sync = osc_sync;
     ro.workers = reshape_workers;
     ro.batch = batch_fields < 1 ? 1 : batch_fields;
     ro.exchange_parity = exchange_parity;

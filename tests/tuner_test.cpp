@@ -583,7 +583,7 @@ TEST(TunerAuto, Fft3dAutotuneRoundTrips) {
     const std::array<int, 3> n{8, 6, 6};
     Fft3dOptions fo;
     fo.backend = ExchangeBackend::kOsc;
-    fo.autotune = true;
+    fo.osc_sync = osc::OscSync::kAuto;
     Fft3d<double> fft(comm, n, /*e_tol=*/1e-6, fo);
     const auto count = fft.local_count();
     std::vector<std::complex<double>> u(count), spec(count), back(count);
