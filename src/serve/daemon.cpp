@@ -254,35 +254,18 @@ void Daemon::execute_job(minimpi::Comm& comm, Job& job) {
   const osc::ExchangeStats before = fft.stats();
   const std::vector<double> lag_before = fft.source_lag_seconds();
 
-  std::vector<std::complex<double>> in_brick, out_brick;
-  const Box3& inbox = fft.inbox();
-  const Box3& outbox = fft.outbox();
-  switch (job.dir) {
-    case TransformDir::kForward:
-      in_brick.resize(fft.local_count());
-      out_brick.resize(fft.output_count());
-      gather_box(job.input.data(), fft.grid(), inbox, in_brick.data());
-      fft.forward(in_brick, out_brick);
-      scatter_box(out_brick.data(), outbox, fft.grid(), job.output.data());
-      break;
-    case TransformDir::kBackward:
-      in_brick.resize(fft.output_count());
-      out_brick.resize(fft.local_count());
-      gather_box(job.input.data(), fft.grid(), outbox, in_brick.data());
-      fft.backward(in_brick, out_brick);
-      scatter_box(out_brick.data(), inbox, fft.grid(), job.output.data());
-      break;
-    case TransformDir::kRoundtrip: {
-      in_brick.resize(fft.local_count());
-      out_brick.resize(fft.output_count());
-      gather_box(job.input.data(), fft.grid(), inbox, in_brick.data());
-      fft.forward(in_brick, out_brick);
-      std::vector<std::complex<double>> back(fft.local_count());
-      fft.backward(out_brick, back);
-      scatter_box(back.data(), inbox, fft.grid(), job.output.data());
-      break;
-    }
+  // Fft3d::backward runs the forward pipeline (inbox images in, outbox
+  // images out), so every direction gathers over the inbox and scatters
+  // over the outbox; a roundtrip feeds the forward result back in.
+  std::vector<std::complex<double>> in_brick(fft.local_count());
+  std::vector<std::complex<double>> out_brick(fft.output_count());
+  gather_box(job.input.data(), fft.grid(), fft.inbox(), in_brick.data());
+  if (job.dir != TransformDir::kBackward) {
+    fft.forward(in_brick, out_brick);
+    if (job.dir == TransformDir::kRoundtrip) in_brick.swap(out_brick);
   }
+  if (job.dir != TransformDir::kForward) fft.backward(in_brick, out_brick);
+  scatter_box(out_brick.data(), fft.outbox(), fft.grid(), job.output.data());
 
   // Per-tenant accounting: world-sum the per-rank wire/fault/skew deltas
   // of this job and attribute them to the session.
