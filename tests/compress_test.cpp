@@ -38,7 +38,9 @@ std::vector<double> roundtrip(const Codec& c, std::span<const double> in) {
   std::vector<std::byte> wire(c.max_compressed_bytes(in.size()));
   const std::size_t used = c.compress(in, wire);
   EXPECT_LE(used, wire.size());
-  if (c.fixed_size()) EXPECT_EQ(used, c.max_compressed_bytes(in.size()));
+  if (c.fixed_size()) {
+    EXPECT_EQ(used, c.max_compressed_bytes(in.size()));
+  }
   std::vector<double> out(in.size());
   c.decompress(std::span<const std::byte>(wire.data(), used), out);
   return out;
@@ -585,7 +587,9 @@ TEST(PlannerRate, HigherRateMeansLargerError) {
     const auto codec = plan_codec_for_rate(rate);
     const auto out = roundtrip(*codec, in);
     const double err = max_rel_err(out, in);
-    if (prev >= 0.0) EXPECT_GE(err, prev) << rate;
+    if (prev >= 0.0) {
+      EXPECT_GE(err, prev) << rate;
+    }
     prev = err;
   }
 }

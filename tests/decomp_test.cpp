@@ -62,7 +62,7 @@ TEST(ProcGrid2, NearSquare) {
 }
 
 TEST(SplitInterval, BalancedAndExhaustive) {
-  for (const auto [n, parts] : std::vector<std::pair<int, int>>{
+  for (const auto& [n, parts] : std::vector<std::pair<int, int>>{
            {10, 3}, {7, 7}, {5, 8}, {100, 9}, {0, 4}}) {
     const auto s = split_interval(n, parts);
     ASSERT_EQ(static_cast<int>(s.size()), parts);

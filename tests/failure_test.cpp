@@ -507,7 +507,7 @@ TEST(Resilience, DoubleErasureAtNonXorColumnsRecovers) {
   minimpi::run_ranks(p, [&](Comm& comm) {
     for (const ResiliencePath& path : kResiliencePaths) {
       if (path.backend == PlanBackend::kTwoSided) continue;  // k = 1 there.
-      for (const std::pair<int, int> drops :
+      for (const std::pair<int, int>& drops :
            {std::pair<int, int>{1, 2}, std::pair<int, int>{0, 2}}) {
         auto ref = resilience_layout(p, comm.rank());
         OscOptions base =

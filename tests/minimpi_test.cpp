@@ -331,10 +331,14 @@ TEST(Reduce, MaxAndMinOps) {
   run_ranks(5, [](Comm& comm) {
     double v = std::fabs(2.0 - comm.rank());  // 2, 1, 0, 1, 2.
     comm.reduce(std::span<double>(&v, 1), ReduceOp::kMax, 1);
-    if (comm.rank() == 1) EXPECT_DOUBLE_EQ(v, 2.0);
+    if (comm.rank() == 1) {
+      EXPECT_DOUBLE_EQ(v, 2.0);
+    }
     double w = std::fabs(2.0 - comm.rank());
     comm.reduce(std::span<double>(&w, 1), ReduceOp::kMin, 4);
-    if (comm.rank() == 4) EXPECT_DOUBLE_EQ(w, 0.0);
+    if (comm.rank() == 4) {
+      EXPECT_DOUBLE_EQ(w, 0.0);
+    }
   });
 }
 

@@ -12,7 +12,7 @@ namespace {
 std::uint64_t flat80k(int, int) { return 80 * 1024; }
 
 TEST(RingTargets, EveryRankTargetedExactlyOnce) {
-  for (const auto [p, gpn] : std::vector<std::pair<int, int>>{
+  for (const auto& [p, gpn] : std::vector<std::pair<int, int>>{
            {12, 6}, {24, 6}, {7, 3}, {16, 4}, {5, 6}, {9, 2}}) {
     for (int me = 0; me < p; ++me) {
       const auto rounds = ring_targets(p, gpn, me);
