@@ -41,25 +41,12 @@ void pack_subvolume(const Box3& box, const Box3& sub, const E* box_data,
   }
 }
 
+// The inverse of pack_subvolume, reading from raw bytes of unknown
+// alignment (an eager envelope, a peer's published staging, or the plan's
+// pinned receive span): row copies addressed in bytes.
 template <typename E>
 void unpack_subvolume(const Box3& box, const Box3& sub, E* box_data,
-                      const E* staged) {
-  const std::size_t row = static_cast<std::size_t>(sub.size[0]);
-  std::size_t s = 0;
-  for (int z = sub.lo[2]; z < sub.hi(2); ++z) {
-    for (int y = sub.lo[1]; y < sub.hi(1); ++y) {
-      std::memcpy(box_data + subvolume_row_base<E>(box, sub, y, z),
-                  staged + s, row * sizeof(E));
-      s += row;
-    }
-  }
-}
-
-// unpack_subvolume reading from raw bytes of unknown alignment (an eager
-// envelope or a peer's published staging): row copies addressed in bytes.
-template <typename E>
-void unpack_subvolume_bytes(const Box3& box, const Box3& sub, E* box_data,
-                            const std::byte* staged) {
+                      const std::byte* staged) {
   const std::size_t row_bytes =
       static_cast<std::size_t>(sub.size[0]) * sizeof(E);
   std::size_t s = 0;
@@ -97,9 +84,6 @@ void copy_subvolume(const Box3& from_box, const Box3& to_box, const Box3& sub,
     }
   }
 }
-
-// Clear of user tags and the other reserved transport tags.
-constexpr int kReshapeFusedTag = (1 << 28) + 73;
 
 int resolve_workers(int requested) {
   if (requested == 0) return WorkerPool::global().concurrency();
@@ -163,64 +147,11 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
   LFFT_REQUIRE(
       recv_total_ + self_count == static_cast<std::uint64_t>(my_out.count()),
       "reshape: input boxes do not tile this rank's outbox");
-  // Will this rank exchange through a persistent plan (codec / kOsc), or
-  // through the raw pairwise rounds? Those unpack straight out of the
-  // sender's buffer, so recvbuf_ would be dead weight — leave it
-  // unallocated.
-  bool planned = false;
-  if constexpr (kReshapeDoubleBased<E>) {
-    planned = options_.codec || options_.backend == ExchangeBackend::kOsc;
-  }
-  // When no rank sends anything off-rank (every rank's overlap is its own),
-  // there is nothing to plan: no window, no fence, and execute() is the
-  // self copy alone. Construction is collective on planned paths, so one
-  // allreduce decides it there.
-  if (planned) {
-    self_only_ = comm_.allreduce_one(static_cast<std::int64_t>(send_total_),
-                                     minimpi::ReduceOp::kMax) == 0;
-    planned = !self_only_;
-  }
-  if (options_.osc_sync == osc::OscSync::kAuto) {
-    if (!planned) {
-      // Nothing to tune without a plan: kAuto degrades to the inert default.
-      options_.osc_sync = osc::OscSync::kFence;
-    } else {
-      // Model-guided configuration. Rank 0 resolves the signature through
-      // the tuner (memo -> persistent cache -> calibrate + cost model) and
-      // broadcasts the POD decision: calibration is timing-based and would
-      // diverge across ranks, and plan construction is collective, so all
-      // ranks must apply one rank's answer.
-      tuner::ExchangeSignature sig;
-      sig.p = static_cast<int>(p);
-      sig.gpn = options_.gpus_per_node > 0 ? options_.gpus_per_node : 1;
-      std::uint64_t largest = 0;
-      for (std::size_t r = 0; r < p; ++r) {
-        if (static_cast<int>(r) != rank_) {
-          largest = std::max(largest, send_counts_[r]);
-        }
-      }
-      sig.pair_bytes = largest * sizeof(E);
-      sig.codec = options_.codec;
-      tuner::TuneDecision d;
-      if (rank_ == 0) d = tuner::Tuner::global().decide(sig);
-      comm_.bcast(std::span<tuner::TuneDecision>(&d, 1), 0);
-      options_.osc_sync = d.sync();
-      options_.workers = d.workers;
-      workers_ = resolve_workers(options_.workers);
-      // The tuner's parity pick only fills in an unset knob: an explicit
-      // exchange_parity is the caller's resilience requirement.
-      if (options_.exchange_parity == 0) {
-        options_.exchange_parity = d.parity;
-      }
-      tuned_ = d;
-    }
-  }
   // Pack elision: when every nonzero sub-volume this rank sends off-rank
   // occupies one contiguous run of the source field, packing is an
   // identity copy. Rewrite the send displacements to field-linear element
-  // offsets and exchange straight out of `in` — both exchange layers
-  // (ExchangePlan and the raw pairwise rounds) address send data
-  // exclusively through (displacement, count) subspans and peers only
+  // offsets and exchange straight out of `in` — the plan addresses send
+  // data exclusively through (displacement, count) subspans and peers only
   // learn counts, so the decision is rank-local and results are
   // byte-identical. The send view then spans the whole field (the
   // self-block is not sent, so send_total_ falls short of it). Sends that
@@ -242,13 +173,45 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
               : 0;
     }
   }
-  // Batches pack every field bank at once, and planned batches also land
-  // every bank (the plan pins the whole recv span and the window
-  // replicates per field).
-  const auto banks = static_cast<std::size_t>(options_.batch);
-  if (!pack_elided_) sendbuf_.resize(send_total_ * banks);
-  if (planned) recvbuf_.resize(recv_total_ * banks);
-  // Pack/unpack fan-outs clamp against the staging volume: below the
+  // When no rank sends anything off-rank (every rank's overlap is its own),
+  // there is nothing to plan: no window, no fence, and execute() is the
+  // self copy alone. Construction is collective, so one allreduce decides
+  // it.
+  if (comm_.allreduce_one(static_cast<std::int64_t>(send_total_),
+                          minimpi::ReduceOp::kMax) == 0) {
+    return;
+  }
+  if (options_.osc_sync == osc::OscSync::kAuto) {
+    // Model-guided configuration. Rank 0 resolves the signature through
+    // the tuner (memo -> persistent cache -> calibrate + cost model) and
+    // broadcasts the POD decision: calibration is timing-based and would
+    // diverge across ranks, and plan construction is collective, so all
+    // ranks must apply one rank's answer.
+    tuner::ExchangeSignature sig;
+    sig.p = static_cast<int>(p);
+    sig.gpn = options_.gpus_per_node > 0 ? options_.gpus_per_node : 1;
+    std::uint64_t largest = 0;
+    for (std::size_t r = 0; r < p; ++r) {
+      if (static_cast<int>(r) != rank_) {
+        largest = std::max(largest, send_counts_[r]);
+      }
+    }
+    sig.pair_bytes = largest * sizeof(E);
+    sig.codec = options_.codec;
+    tuner::TuneDecision d;
+    if (rank_ == 0) d = tuner::Tuner::global().decide(sig);
+    comm_.bcast(std::span<tuner::TuneDecision>(&d, 1), 0);
+    options_.osc_sync = d.sync();
+    options_.workers = d.workers;
+    workers_ = resolve_workers(options_.workers);
+    // The tuner's parity pick only fills in an unset knob: an explicit
+    // exchange_parity is the caller's resilience requirement.
+    if (options_.exchange_parity == 0) {
+      options_.exchange_parity = d.parity;
+    }
+    tuned_ = d;
+  }
+  // Pack fan-out clamps against the staging volume: below the
   // bytes-per-shard floor the memcpy loops run serially on the rank
   // thread (submit/steal overhead beats the copies there).
   pack_shards_ =
@@ -257,54 +220,44 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
           : WorkerPool::effective_shards(
                 options_.workers,
                 static_cast<std::size_t>(send_total_) * sizeof(E));
-  unpack_shards_ = WorkerPool::effective_shards(
-      options_.workers, static_cast<std::size_t>(recv_total_) * sizeof(E));
 
-  if constexpr (kReshapeDoubleBased<E>) {
-    // Element views as doubles (complex<double> is two of them).
-    constexpr std::uint64_t kDbl = sizeof(E) / sizeof(double);
-    wire_send_counts_.resize(p);
-    wire_send_displs_.resize(p);
-    wire_recv_counts_.resize(p);
-    wire_recv_displs_.resize(p);
-    for (std::size_t r = 0; r < p; ++r) {
-      wire_send_counts_[r] = kDbl * send_counts_[r];
-      wire_send_displs_[r] = kDbl * send_displs_[r];
-      wire_recv_counts_[r] = kDbl * recv_counts_[r];
-      wire_recv_displs_[r] = kDbl * recv_displs_[r];
-    }
-    wire_codec_ = options_.codec;
-    if (wire_codec_ && workers_ > 1) {
-      // Shardable codecs split each message across the pool; the rest
-      // fall through to serial inside the decorator. Either way the wire
-      // bytes match the serial encoder exactly.
-      wire_codec_ = std::make_shared<const ParallelCodec>(
-          wire_codec_, &WorkerPool::global(), workers_);
-    }
-    if (planned) {
-      // Persistent plan: window + slot offsets + codec staging set up once
-      // here (collectively), so execute() is pure data movement.
-      osc::OscOptions oo;
-      oo.codec = wire_codec_;
-      oo.chunks = options_.osc_chunks;
-      oo.gpus_per_node = options_.gpus_per_node;
-      oo.sync = options_.osc_sync;
-      oo.workers = workers_;
-      oo.batch = options_.batch;
-      oo.parity = options_.exchange_parity;
-      oo.fault_plan = options_.fault_plan;
-      const osc::PlanBackend backend =
-          tuned_ ? tuned_->plan_backend()
-                 : (options_.backend == ExchangeBackend::kOsc
-                        ? osc::PlanBackend::kOneSided
-                        : osc::PlanBackend::kTwoSided);
-      const std::span<double> recv_view(
-          reinterpret_cast<double*>(recvbuf_.data()), kDbl * recvbuf_.size());
-      plan_ = std::make_unique<osc::ExchangePlan>(
-          comm_, backend, wire_send_counts_, wire_send_displs_,
-          wire_recv_counts_, wire_recv_displs_, recv_view, oo);
-    }
+  // Persistent plan: window + slot offsets + codec staging set up once
+  // here (collectively), so execute() is pure data movement. Codec and
+  // coded wires carry doubles, so float fields stay uncoded.
+  osc::OscOptions oo;
+  oo.codec = options_.codec;
+  if (oo.codec && workers_ > 1) {
+    // Shardable codecs split each message across the pool; the rest fall
+    // through to serial inside the decorator. Either way the wire bytes
+    // match the serial encoder exactly.
+    oo.codec = std::make_shared<const ParallelCodec>(
+        oo.codec, &WorkerPool::global(), workers_);
   }
+  oo.chunks = options_.osc_chunks;
+  oo.gpus_per_node = options_.gpus_per_node;
+  oo.sync = options_.osc_sync;
+  oo.workers = workers_;
+  oo.batch = options_.batch;
+  if constexpr (kReshapeDoubleBased<E>) {
+    oo.parity = options_.exchange_parity;
+    oo.fault_plan = options_.fault_plan;
+  }
+  const osc::PlanBackend backend =
+      tuned_ ? tuned_->plan_backend()
+             : (options_.backend == ExchangeBackend::kOsc
+                    ? osc::PlanBackend::kOneSided
+                    : osc::PlanBackend::kTwoSided);
+  // Batches pack every field bank at once, and a plan that lands its
+  // messages in the pinned receive span (every plan but the uncoded raw
+  // two-sided one) pins every bank (the window replicates per field).
+  const auto banks = static_cast<std::size_t>(options_.batch);
+  if (!pack_elided_) sendbuf_.resize(send_total_ * banks);
+  if (osc::ExchangePlan::needs_recv(backend, oo)) {
+    recvbuf_.resize(recv_total_ * banks);
+  }
+  plan_ = std::make_unique<osc::ExchangePlan>(
+      comm_, backend, send_counts_, send_displs_, recv_counts_, recv_displs_,
+      std::as_writable_bytes(std::span<E>(recvbuf_)), sizeof(E), oo);
 }
 
 template <typename E>
@@ -327,7 +280,7 @@ void Reshape<E>::execute_batch(std::span<const E> in, std::span<E> out,
   LFFT_REQUIRE(out.size() == nf * out_ext,
                "reshape: output must hold `fields` outbox images");
   const Stopwatch watch;
-  if (!self_only_) {
+  if (plan_) {
     const auto p = send_boxes_.size();
 
     // Pack every field into its staging bank; (field, destination) items
@@ -357,87 +310,22 @@ void Reshape<E>::execute_batch(std::span<const E> in, std::span<E> out,
                            sendbuf_.data(),
                            static_cast<std::size_t>(send_total_) * nf);
 
-    if (!plan_) {
-      // The raw pairwise rounds have no synchronization epoch to amortize:
-      // a batch is a per-field loop.
-      const std::size_t send_ext = send.size() / nf;
-      for (std::size_t f = 0; f < nf; ++f) {
-        execute_raw_fused(send.subspan(f * send_ext, send_ext),
-                          out.subspan(f * out_ext, out_ext));
-      }
-    } else if constexpr (kReshapeDoubleBased<E>) {
-      // One batched exchange: all field banks travel under a single fence /
-      // PSCW handshake sequence.
-      constexpr std::size_t kDbl = sizeof(E) / sizeof(double);
-      const std::span<const double> send_view(
-          reinterpret_cast<const double*>(send.data()), kDbl * send.size());
-      const std::span<double> recv_view(
-          reinterpret_cast<double*>(recvbuf_.data()),
-          kDbl * static_cast<std::size_t>(recv_total_) * nf);
-      stats_.accumulate(plan_->execute_batch(send_view, recv_view, fields));
-
-      // Sources read disjoint staging slices and write disjoint
-      // sub-volumes of `out`.
-      const auto unpack_item = [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) {
-          const std::size_t f = k / p;
-          const std::size_t r = k % p;
-          if (recv_counts_[r] == 0) continue;
-          unpack_subvolume(my_out, recv_boxes_[r], out.data() + f * out_ext,
-                           recvbuf_.data() + f * recv_total_ + recv_displs_[r]);
-        }
-      };
-      if (unpack_shards_ > 1) {
-        WorkerPool::global().parallel_for(nf * p, 1, unpack_item,
-                                          unpack_shards_);
-      } else {
-        unpack_item(0, nf * p);
-      }
-    }
+    // One exchange for the whole batch; the plan hands each finished
+    // message to the sink, which unpacks its rows into `out`. Sources
+    // write disjoint sub-volumes, so sinks running on pool workers need no
+    // coordination.
+    stats_.accumulate(plan_->execute_batch(
+        std::as_bytes(send), fields,
+        [&](std::size_t s, std::size_t f, std::span<const std::byte> msg) {
+          unpack_subvolume(my_out, recv_boxes_[s], out.data() + f * out_ext,
+                           msg.data());
+        }));
   }
   for (std::size_t f = 0; f < nf; ++f) {
     copy_subvolume(my_in, my_out, self_box_, in.data() + f * in_ext,
                    out.data() + f * out_ext);
   }
   stats_.seconds += watch.seconds();
-}
-
-template <typename E>
-void Reshape<E>::execute_raw_fused(std::span<const E> send, std::span<E> out) {
-  // Pairwise rounds with the unpack fused into the receive: recv_consume
-  // hands us the message payload in place — the sender's send slice for
-  // rendezvous messages, the pooled envelope for eager ones — and we
-  // scatter its rows straight into `out`, with no receive staging.
-  const Box3& my_out = all_out_[static_cast<std::size_t>(rank_)];
-  const int p = comm_.size();
-  const std::uint64_t bytes = send_total_ * sizeof(E);
-  stats_.payload_bytes += bytes;
-  stats_.wire_bytes += bytes;
-  stats_.rounds += p;
-  stats_.messages += p - 1;
-  for (int j = 1; j < p; ++j) {
-    const auto dst = static_cast<std::size_t>((rank_ + j) % p);
-    const auto src = static_cast<std::size_t>((rank_ - j + p) % p);
-    minimpi::Comm::Request req;
-    bool sent = false;
-    if (send_counts_[dst] > 0) {
-      req = comm_.isend(
-          std::as_bytes(send.subspan(send_displs_[dst], send_counts_[dst])),
-          static_cast<int>(dst), kReshapeFusedTag);
-      sent = true;
-    }
-    if (recv_counts_[src] > 0) {
-      comm_.recv_consume(
-          static_cast<int>(src), kReshapeFusedTag,
-          [&](std::span<const std::byte> payload) {
-            LFFT_REQUIRE(payload.size() == recv_counts_[src] * sizeof(E),
-                         "reshape: raw payload size mismatch");
-            unpack_subvolume_bytes(my_out, recv_boxes_[src], out.data(),
-                                   payload.data());
-          });
-    }
-    if (sent) comm_.wait(req);
-  }
 }
 
 template class Reshape<float>;

@@ -8,19 +8,25 @@
 // reaches a transport: execute() copies it straight from `in` to `out`, so
 // it is exact under every codec, and the exchange, its codec and its
 // ExchangeStats carry only off-rank bytes — what every MPI alltoallv does
-// locally. The off-rank overlaps go through one of two exchange backends:
+// locally. A reshape with off-rank traffic runs one osc::ExchangePlan, the
+// compressed all-to-all between its pack and unpack (Algorithm 1 around
+// Algorithm 3), on one of two backends:
 //   kPairwise — two-sided pairwise rounds (the classical MPI_Alltoallv
 //               baseline), optionally compressed;
 //   kOsc      — the paper's one-sided ring with pipelined compression
 //               (Algorithm 3).
-// A planned reshape in which no rank sends anything off-rank (bricks whose
-// process grid equals the pencil grid, any 1-rank world) builds no plan
-// and runs no exchange at all.
+// The plan hands each finished message to a sink that unpacks its rows
+// into the destination field: straight from the transport's buffer on the
+// uncoded raw two-sided wire, from the plan's pinned receive span
+// (recvbuf_) on every other. A reshape in which no rank sends anything
+// off-rank (bricks whose process grid equals the pencil grid, any 1-rank
+// world) builds no plan and runs no exchange at all.
 //
 // The element type E is any trivially-copyable cell: complex<double> for
 // the c2c transform, double for the real stage of the r2c transform, and
-// the float variants for the FP32 reference runs. Codecs apply only to
-// double-based elements (the wire views them as a stream of doubles).
+// the float variants for the FP32 reference runs. Codecs and the coded
+// wire apply only to double-based elements (the wire views them as a
+// stream of doubles); float fields always travel raw.
 #pragma once
 
 #include <complex>
@@ -57,8 +63,7 @@ struct ReshapeOptions {
   /// (or the LOSSYFFT_TUNE_CACHE persistent cache) and broadcasts the
   /// decision — sync mode, one- or two-sided path, parity and worker
   /// fan-out — so all ranks build the identical plan. Results are
-  /// byte-identical to any fixed configuration; only speed changes. kAuto
-  /// on an unplanned path (raw two-sided, float fields) is inert.
+  /// byte-identical to any fixed configuration; only speed changes.
   osc::OscSync osc_sync = osc::OscSync::kFence;
   /// Codec/pack worker shards: 1 = serial (default), 0 = the process-wide
   /// pool's full concurrency, k > 1 = fan out to k shards. Parallelism is
@@ -69,22 +74,23 @@ struct ReshapeOptions {
   int workers = 1;
   /// Batch capacity (>= 1): how many same-layout fields one
   /// execute_batch() call may exchange per synchronization epoch. Staging
-  /// buffers and (for planned paths) the exchange window are sized for
-  /// `batch` consecutive field banks, so a batch of k fields pays the
+  /// buffers and the exchange window are sized for `batch` consecutive
+  /// field banks, so a batch of k fields pays the
   /// fence / PSCW handshake cost once instead of k times. 1 (default)
   /// keeps the single-field footprint.
   int batch = 1;
   /// Coded-exchange parity chunks per message group (OscOptions::parity):
-  /// m > 0 makes the planned exchange ship m erasure-coded parity frames
+  /// m > 0 makes the exchange ship m erasure-coded parity frames
   /// alongside each round's data so targets reconstruct up to m missing /
   /// late / corrupt arrivals. Zero-fault coded runs are byte-identical to
-  /// uncoded. Ignored on unplanned paths. Under kAuto the tuner's parity
-  /// pick overrides a 0 here.
+  /// uncoded. Applies to double-based fields on both backends; float
+  /// fields stay uncoded. Under kAuto the tuner's parity pick overrides a 0
+  /// here.
   int exchange_parity = 0;
-  /// Deterministic fault-injection plan threaded into the planned
-  /// exchange's transport (tests; OscOptions::fault_plan). Must outlive
-  /// the Reshape. Installing a plan forces the coded framed wire even at
-  /// exchange_parity == 0.
+  /// Deterministic fault-injection plan threaded into the exchange's
+  /// transport (tests; OscOptions::fault_plan). Must outlive the Reshape.
+  /// Installing a plan forces the coded framed wire even at
+  /// exchange_parity == 0; float fields ignore it, like exchange_parity.
   const minimpi::FaultPlan* fault_plan = nullptr;
 };
 
@@ -101,13 +107,12 @@ class Reshape {
   /// (r = comm rank). Box lists must cover disjointly; this rank's boxes
   /// are all_in[comm.rank()] / all_out[comm.rank()].
   ///
-  /// For the codec and kOsc paths the constructor builds a persistent
+  /// Construction is *collective*: one allreduce decides whether any rank
+  /// sends off-rank, and if one does, the constructor builds a persistent
   /// osc::ExchangePlan (cached window + hoisted offset exchange + pinned
-  /// codec staging), which makes construction and destruction *collective*
-  /// on those paths: every rank must create and destroy its Reshapes in
-  /// the same order, which Fft3d's symmetric plan setup already does.
-  /// There, one allreduce also decides whether any rank sends off-rank;
-  /// if none does, no plan is built.
+  /// codec staging), whose construction and destruction are collective
+  /// too. Every rank must create and destroy its Reshapes in the same
+  /// order, which Fft3d's symmetric plan setup already does.
   Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
           std::vector<Box3> all_out, ReshapeOptions options);
 
@@ -125,15 +130,14 @@ class Reshape {
   /// (1 <= fields <= options.batch) in one exchange epoch. `in` holds
   /// `fields` consecutive inbox().count()-element images; `out` receives
   /// the matching outbox().count()-element images. Every field is packed
-  /// into its staging bank (unless the pack elided); a planned reshape
-  /// exchanges all banks under a single fence / PSCW handshake sequence
-  /// and unpacks them, and the raw pairwise rounds run per field,
-  /// unpacking as they receive. Each field's self-block is then copied
-  /// from `in` to `out` (one memcpy when it is contiguous in both boxes,
-  /// one per x-row otherwise). Results are identical to `fields`
-  /// back-to-back execute() calls. Collective, except on a self-only
-  /// reshape, whose execute is that copy alone: no fence, barrier or
-  /// message.
+  /// into its staging bank (unless the pack elided), the plan exchanges all
+  /// banks in one call (under a single fence / PSCW handshake sequence on
+  /// the one-sided backend), and its sink unpacks each message into `out`
+  /// as it is delivered. Each field's self-block is then copied from `in`
+  /// to `out` (one memcpy when it is contiguous in both boxes, one per
+  /// x-row otherwise). Results are identical to `fields` back-to-back
+  /// execute() calls. Collective, except on a self-only reshape, whose
+  /// execute is that copy alone: no fence, barrier or message.
   void execute_batch(std::span<const E> in, std::span<E> out, int fields);
 
   /// Exchange statistics accumulated over all execute() calls on this
@@ -141,8 +145,8 @@ class Reshape {
   const osc::ExchangeStats& stats() const { return stats_; }
 
   /// Accumulated per-source arrival lag from the underlying plan
-  /// (ExchangePlan::source_lag_seconds); empty on unplanned paths, which
-  /// have no per-source completion events to stamp.
+  /// (ExchangePlan::source_lag_seconds); empty on a self-only reshape,
+  /// which builds no plan.
   std::span<const double> source_lag_seconds() const {
     return plan_ ? plan_->source_lag_seconds() : std::span<const double>{};
   }
@@ -157,8 +161,9 @@ class Reshape {
     return b;
   }
 
-  /// The tuner decision applied at construction when osc_sync was kAuto on
-  /// a planned path; empty otherwise (fixed config, or nothing to tune).
+  /// The tuner decision applied at construction when osc_sync was kAuto
+  /// and the reshape has off-rank traffic; empty otherwise (fixed config,
+  /// or nothing to tune).
   const std::optional<tuner::TuneDecision>& tuned_decision() const {
     return tuned_;
   }
@@ -176,47 +181,37 @@ class Reshape {
   std::vector<Box3> all_out_;
   ReshapeOptions options_;
 
-  // Precomputed overlap metadata (counts/displs in elements), plus the
-  // double-unit variants the codec/OSC plan is built on. All hoisted here
-  // so execute() allocates nothing in steady state. The self entries'
-  // counts are zero: the self-block is self_box_.
+  // Precomputed overlap metadata (counts/displs in elements, the units the
+  // plan counts in). All hoisted here so execute() allocates nothing in
+  // steady state. The self entries' counts are zero: the self-block is
+  // self_box_.
   Box3 self_box_;
   std::vector<Box3> send_boxes_, recv_boxes_;
   std::vector<std::uint64_t> send_counts_, send_displs_;
   std::vector<std::uint64_t> recv_counts_, recv_displs_;
-  std::vector<std::uint64_t> wire_send_counts_, wire_send_displs_;
-  std::vector<std::uint64_t> wire_recv_counts_, wire_recv_displs_;
   std::uint64_t send_total_ = 0, recv_total_ = 0;
 
-  /// options_.codec wrapped in ParallelCodec when workers_ > 1.
-  CodecPtr wire_codec_;
   /// Resolved shard count (>= 1) from ReshapeOptions::workers.
   int workers_ = 1;
-  /// Pack/unpack fan-outs: workers_ clamped by the bytes-per-shard floor
-  /// (WorkerPool::effective_shards) against this plan's staging totals, so
-  /// small reshapes stay serial where fan-out overhead dominates.
-  int pack_shards_ = 1, unpack_shards_ = 1;
-  /// Resolved at construction on planned paths: no rank sends anything
-  /// off-rank, so there is no plan and execute() is the self copy alone.
-  bool self_only_ = false;
+  /// Pack fan-out: workers_ clamped by the bytes-per-shard floor
+  /// (WorkerPool::effective_shards) against the send staging total, so
+  /// small reshapes stay serial where fan-out overhead dominates. The
+  /// unpack runs inside the plan's sink, at the plan's own fan-out.
+  int pack_shards_ = 1;
   /// Resolved at construction: every send sub-volume is contiguous in the
   /// source field, so execute() skips packing and exchanges out of `in`
   /// via field-linear send displacements (sendbuf_ stays unallocated).
   bool pack_elided_ = false;
-  /// The tuner's broadcast decision when osc_sync was kAuto on a planned
-  /// path (overrides backend / workers at plan construction).
+  /// The tuner's broadcast decision when osc_sync was kAuto (overrides
+  /// backend / workers at plan construction).
   std::optional<tuner::TuneDecision> tuned_;
 
-  /// The unplanned exchange of one field: pairwise isend/recv_consume
-  /// rounds that unpack each source's sub-volume directly from the
-  /// sender's buffer into `out`. `send` is the field itself when the pack
-  /// stage elided (its sendbuf_ bank otherwise).
-  void execute_raw_fused(std::span<const E> send, std::span<E> out);
-
   std::vector<E> sendbuf_, recvbuf_;
-  /// Persistent exchange plan (codec / kOsc paths; null otherwise). Pins a
-  /// double view of recvbuf_, and in raw one-sided mode exposes it as the
-  /// RMA window — declared after recvbuf_ so the window dies first.
+  /// Persistent exchange plan of every reshape with off-rank traffic (null
+  /// on a self-only reshape). Pins recvbuf_ when it lands messages there
+  /// (ExchangePlan::needs_recv; recvbuf_ stays empty otherwise), and in raw
+  /// one-sided mode exposes it as the RMA window — declared after recvbuf_
+  /// so the window dies first.
   std::unique_ptr<osc::ExchangePlan> plan_;
   osc::ExchangeStats stats_;
 };

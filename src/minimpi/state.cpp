@@ -1,10 +1,13 @@
 #include "minimpi/state.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 
 namespace lossyfft::minimpi::detail {
 
-EnvelopePool::EnvelopePool(int shards) {
+EnvelopePool::EnvelopePool(int shards, std::size_t eager_bytes)
+    : eager_reserve_(std::min(eager_bytes, kDefaultRendezvousThreshold)) {
   LFFT_REQUIRE(shards > 0, "envelope pool needs at least one shard");
   for (int i = 0; i < shards; ++i) shards_.emplace_back();
   // Seed every shard: fire-and-forget zero-byte traffic (barrier-free PSCW
@@ -15,12 +18,15 @@ EnvelopePool::EnvelopePool(int shards) {
   for (int i = 0; i < shards; ++i) {
     Shard& s = shards_[static_cast<std::size_t>(i)];
     s.free.reserve(kSeedEnvelopes * 2);
-    for (int k = 0; k < kSeedEnvelopes; ++k) {
-      Envelope& e = s.slab.emplace_back();
-      e.pool_shard = i;
-      s.free.push_back(&e);
-    }
+    for (int k = 0; k < kSeedEnvelopes; ++k) s.free.push_back(&carve(s, i));
   }
+}
+
+Envelope& EnvelopePool::carve(Shard& s, int shard) {
+  Envelope& e = s.slab.emplace_back();
+  e.pool_shard = shard;
+  e.data.reserve(eager_reserve_);
+  return e;
 }
 
 Envelope* EnvelopePool::acquire(int shard, int src, int tag, ContextId ctx) {
@@ -30,8 +36,7 @@ Envelope* EnvelopePool::acquire(int shard, int src, int tag, ContextId ctx) {
   {
     std::lock_guard lk(s.mu);
     if (s.free.empty()) {
-      e = &s.slab.emplace_back();
-      e->pool_shard = shard;
+      e = &carve(s, shard);
     } else {
       e = s.free.back();
       s.free.pop_back();
@@ -104,7 +109,9 @@ Envelope* Mailbox::try_pop_match(int src, int tag, ContextId ctx) {
 }
 
 SharedState::SharedState(int world_size, const MinimpiOptions& options)
-    : mailboxes_(world_size), options_(options), pool_(world_size) {
+    : mailboxes_(world_size),
+      options_(options),
+      pool_(world_size, options.rendezvous_threshold) {
   LFFT_REQUIRE(world_size > 0, "world size must be positive");
 }
 

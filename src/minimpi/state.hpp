@@ -53,8 +53,13 @@ struct Envelope {
 /// steady-state traffic allocates nothing.
 class EnvelopePool {
  public:
-  /// One shard per world rank.
-  explicit EnvelopePool(int shards);
+  /// One shard per world rank. Every envelope reserves `eager_bytes` of
+  /// payload storage (at most kDefaultRendezvousThreshold) when it is
+  /// carved: the LIFO free list hands out envelopes in a
+  /// scheduling-dependent order, and one that only ever carried a small
+  /// message (a collective's word) must not grow when it later carries a
+  /// larger eager one.
+  EnvelopePool(int shards, std::size_t eager_bytes);
 
   /// Pop (or slab-extend) an envelope from `shard` (the sender's world
   /// rank), reset to eager defaults.
@@ -70,7 +75,11 @@ class EnvelopePool {
     std::deque<Envelope> slab;   // Stable addresses; never shrinks.
     std::vector<Envelope*> free;
   };
+  /// Carve a fresh envelope in `s` (caller holds its mutex or owns it).
+  Envelope& carve(Shard& s, int shard);
+
   std::deque<Shard> shards_;  // deque: Shard holds a mutex (immovable).
+  std::size_t eager_reserve_ = 0;
 };
 
 /// Per-rank receive queue with MPI-style (source, tag, context) matching.

@@ -56,6 +56,15 @@ bool clean_frame(std::span<const std::byte> frame, std::uint16_t seq,
          fnv1a64(frame.subspan(coded::kFrameBytes)) == csum;
 }
 
+// Codec and coded wires view the caller's elements as doubles.
+std::span<const double> as_doubles(std::span<const std::byte> b) {
+  return {reinterpret_cast<const double*>(b.data()),
+          b.size() / sizeof(double)};
+}
+std::span<double> as_doubles(std::span<std::byte> b) {
+  return {reinterpret_cast<double*>(b.data()), b.size() / sizeof(double)};
+}
+
 // Monotonic stamp for the arrival-skew counters. Only differences within
 // one epoch are ever consumed, so the epoch base is irrelevant.
 double now_seconds() {
@@ -66,12 +75,18 @@ double now_seconds() {
 
 }  // namespace
 
+bool ExchangePlan::needs_recv(PlanBackend backend, const OscOptions& options) {
+  return backend == PlanBackend::kOneSided || options.codec != nullptr ||
+         options.parity > 0 || options.fault_plan != nullptr;
+}
+
 ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
                            std::span<const std::uint64_t> sendcounts,
                            std::span<const std::uint64_t> senddispls,
                            std::span<const std::uint64_t> recvcounts,
                            std::span<const std::uint64_t> recvdispls,
-                           std::span<double> recv, const OscOptions& options)
+                           std::span<std::byte> recv, std::size_t elem_bytes,
+                           const OscOptions& options)
     : comm_(comm),
       options_(options),
       backend_(backend),
@@ -105,11 +120,33 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
     parity_ = options_.parity;
     raw_ = false;
   }
+  // A coded one-sided group holds at most kMaxDataChunks data chunks, and
+  // only an explicit fixed-rate chunk count can exceed that (the pipeline
+  // model picks at most 64; the two-sided wire sends one chunk per
+  // message). Every rank shares the options, so every rank gives the same
+  // verdict here, before the first collective: a throw on one rank alone
+  // would strand its peers in the offset exchange.
+  LFFT_REQUIRE(!coded_ || backend_ != PlanBackend::kOneSided || !fixed_ ||
+                   options_.chunks <= coded::kMaxDataChunks,
+               "ExchangePlan: coded exchange supports at most "
+               "kMaxDataChunks pipeline chunks per message");
   batch_ = options_.batch;
   LFFT_REQUIRE(batch_ >= 1, "ExchangePlan: batch capacity must be >= 1");
   LFFT_REQUIRE(recv.size() % static_cast<std::size_t>(batch_) == 0,
                "ExchangePlan: pinned recv must hold `batch` equal fields");
   recv_extent_ = recv.size() / static_cast<std::size_t>(batch_);
+
+  // Count in wire units: a raw wire moves the caller's elements whole,
+  // codec and coded wires see them as doubles.
+  LFFT_REQUIRE(elem_bytes > 0 && (raw_ || elem_bytes % sizeof(double) == 0),
+               "ExchangePlan: codec and coded wires carry double-based "
+               "elements");
+  unit_ = raw_ ? elem_bytes : sizeof(double);
+  if (const std::uint64_t per = elem_bytes / unit_; per > 1) {
+    for (auto* v : {&sendcounts_, &senddispls_, &recvcounts_, &recvdispls_}) {
+      for (std::uint64_t& c : *v) c *= per;
+    }
+  }
 
   // Arrival-skew scratch (pre-sized: stamping allocates nothing).
   arrival_time_.assign(p, -1.0);
@@ -118,7 +155,7 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   std::uint64_t payload = 0;
   for (const std::uint64_t c : sendcounts_) payload += c;
   workers_ = WorkerPool::effective_shards(
-      options_.workers, static_cast<std::size_t>(payload) * sizeof(double));
+      options_.workers, static_cast<std::size_t>(payload) * unit_);
 
   // Per-message chunk count: user value, or the Section V-B pipeline
   // model's pick for that message size. A variable-rate message is one
@@ -135,7 +172,7 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   // The sum of a message's chunk capacities: exact for fixed-rate codecs
   // (the property Section V-B relies on), a bound for variable-rate ones.
   const auto wire_cap = [&](std::uint64_t count) {
-    if (raw_) return count * sizeof(double);
+    if (raw_) return count * unit_;
     std::uint64_t cap = 0;
     for (const std::uint64_t c : chunk_partition(count, chunks_for(count))) {
       cap += codec_->max_compressed_bytes(c);
@@ -184,7 +221,7 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   std::uint64_t window_bytes = 0;
   for (std::size_t i = 0; i < p; ++i) {
     if (raw_) {
-      slot_offset_[i] = recvdispls_[i] * sizeof(double);
+      slot_offset_[i] = recvdispls_[i] * unit_;
       continue;
     }
     // Codec slot: the header word, then the message's chunks at their
@@ -212,10 +249,6 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
     unpack_range_[i] = {begin, unpack_jobs_.size()};
     window_bytes = align8(window_bytes);  // Next slot's header word.
     if (!coded_) continue;
-    LFFT_REQUIRE(unpack_jobs_.size() - begin <=
-                     static_cast<std::size_t>(coded::kMaxDataChunks),
-                 "ExchangePlan: coded exchange supports at most "
-                 "kMaxDataChunks pipeline chunks per message");
     coded_L_.push_back(L);
     for (int j = 0; j < parity_; ++j) {
       coded_poff_.push_back(window_bytes);
@@ -235,7 +268,7 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   // (their own capacities), so senders learn each target's stride with one
   // more construction-time u64 all-to-all — steady state stays
   // collective-free.
-  bank_stride_ = raw_ ? recv_extent_ * sizeof(double) : window_bytes;
+  bank_stride_ = raw_ ? recv_extent_ : window_bytes;
   if (batch_ > 1) {
     const std::vector<std::uint64_t> mine(p, bank_stride_);
     target_bank_stride_.resize(p);
@@ -247,8 +280,7 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
 
   window_store_.resize(window_bytes * static_cast<std::size_t>(batch_));
   win_ = std::make_unique<minimpi::Window>(
-      comm_, raw_ ? std::as_writable_bytes(recv_pinned_)
-                  : std::span<std::byte>(window_store_));
+      comm_, raw_ ? recv_pinned_ : std::span<std::byte>(window_store_));
   if (coded_) win_->set_fault_plan(options_.fault_plan);
 
   rounds_ = ring_targets(p_, options_.gpus_per_node, comm_.rank());
@@ -301,10 +333,6 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
         elem += c;
         ++k;
       }
-      LFFT_REQUIRE(!coded_ ||
-                       k <= static_cast<std::size_t>(coded::kMaxDataChunks),
-                   "ExchangePlan: coded exchange supports at most "
-                   "kMaxDataChunks pipeline chunks per message");
       // RS over one data chunk is the identity (α_1^j = 1): a one-chunk
       // group's parity jobs re-put its staged data frame as replicas.
       for (int jj = 0; jj < parity_; ++jj) {
@@ -347,28 +375,40 @@ ExchangeStats ExchangePlan::execute(std::span<const double> send,
 
 ExchangeStats ExchangePlan::execute_batch(std::span<const double> send,
                                           std::span<double> recv, int fields) {
-  LFFT_REQUIRE(fields >= 1 && fields <= batch_,
-               "ExchangePlan::execute_batch: fields must be in [1, batch]");
-  LFFT_REQUIRE(recv.data() == recv_pinned_.data() &&
-                   recv.size() ==
+  LFFT_REQUIRE(std::as_bytes(recv).data() == recv_pinned_.data() &&
+                   recv.size_bytes() ==
                        recv_extent_ * static_cast<std::size_t>(fields),
                "ExchangePlan::execute_batch: recv must be the leading "
                "`fields` banks of the pinned span");
+  // `recv` is the pinned span, so only a message delivered from the
+  // transport's buffer needs the copy.
+  return execute_batch(
+      std::as_bytes(send), fields,
+      [this](std::size_t s, std::size_t f, std::span<const std::byte> m) {
+        const std::span<std::byte> at = recv_message(s, f);
+        if (m.data() != at.data()) std::memcpy(at.data(), m.data(), m.size());
+      });
+}
+
+ExchangeStats ExchangePlan::execute_batch(std::span<const std::byte> send,
+                                          int fields, Sink sink, void* ctx) {
+  LFFT_REQUIRE(fields >= 1 && fields <= batch_,
+               "ExchangePlan::execute_batch: fields must be in [1, batch]");
   LFFT_REQUIRE(send.size() % static_cast<std::size_t>(fields) == 0,
                "ExchangePlan::execute_batch: send must hold `fields` equal "
                "field images");
+  sink_ = sink;
+  sink_ctx_ = ctx;
   if (backend_ == PlanBackend::kOneSided) {
-    return execute_one_sided(send, recv, fields);
+    return execute_one_sided(send, fields);
   }
   // Two-sided transports are message-paced (no epoch to amortize), so the
   // batch is a plain per-field loop sharing this plan's staging.
   const std::size_t sext = send.size() / static_cast<std::size_t>(fields);
   ExchangeStats stats;
-  for (int f = 0; f < fields; ++f) {
-    const ExchangeStats one = execute_two_sided(
-        send.subspan(static_cast<std::size_t>(f) * sext, sext),
-        recv.subspan(static_cast<std::size_t>(f) * recv_extent_,
-                     recv_extent_));
+  for (std::size_t f = 0; f < static_cast<std::size_t>(fields); ++f) {
+    const ExchangeStats one =
+        execute_two_sided(send.subspan(f * sext, sext), f);
     const int schedule_rounds = one.rounds;
     stats.accumulate(one);
     // Pairwise rounds describe the schedule, not work done: a batch
@@ -378,16 +418,18 @@ ExchangeStats ExchangePlan::execute_batch(std::span<const double> send,
   return stats;
 }
 
-ExchangeStats ExchangePlan::execute_one_sided(std::span<const double> send,
-                                              std::span<double> recv,
+std::span<std::byte> ExchangePlan::recv_message(std::size_t s,
+                                                std::size_t f) const {
+  return recv_pinned_.subspan(f * recv_extent_ + recvdispls_[s] * unit_,
+                              recvcounts_[s] * unit_);
+}
+
+ExchangeStats ExchangePlan::execute_one_sided(std::span<const std::byte> send,
                                               int fields) {
   const auto nf = static_cast<std::size_t>(fields);
   const std::size_t sext = send.size() / nf;  // Per-field send extent.
   const auto field_send = [&](std::size_t f) {
     return send.subspan(f * sext, sext);
-  };
-  const auto field_recv = [&](std::size_t f) {
-    return recv.subspan(f * recv_extent_, recv_extent_);
   };
   // Field f's bank displacement on peer d's window (0 for field 0, so the
   // single-field path never touches target_bank_stride_, which batch == 1
@@ -440,11 +482,11 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const double> send,
   const std::uint64_t job_pay = coded_ ? minimpi::kHeaderWordBytes : 0;
   // Encode one data chunk into its staging; returns the encoded size.
   const auto compress_job = [&](const PlanChunk& job,
-                                std::span<const double> fsend) {
+                                std::span<const std::byte> fsend) {
     const std::size_t used = codec_->compress(
-        fsend.subspan(senddispls_[static_cast<std::size_t>(job.peer)] +
-                          job.elem_off,
-                      job.elem_cnt),
+        as_doubles(fsend).subspan(
+            senddispls_[static_cast<std::size_t>(job.peer)] + job.elem_off,
+            job.elem_cnt),
         std::span<std::byte>(stage_.data() + job.stage_off + job_pay,
                              job.wire_bytes));
     // Fixed-size codecs are exact.
@@ -464,7 +506,7 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const double> send,
     // run sequentially so the round slab can be recycled (puts are
     // synchronous copies, so reuse after put is safe).
     for (std::size_t f = 0; f < nf; ++f) {
-      const std::span<const double> fsend = field_send(f);
+      const std::span<const std::byte> fsend = field_send(f);
       if (pool) {
         // Hand the whole round to the pool: chunk k+1 compresses while
         // chunk k is being put — Section V-B's stream overlap executed for
@@ -489,15 +531,15 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const double> send,
       for (const int dst : round) {
         const auto d = static_cast<std::size_t>(dst);
         const std::uint64_t count = sendcounts_[d];
-        stats.payload_bytes += count * sizeof(double);
+        stats.payload_bytes += count * unit_;
         if (count == 0) continue;
         ++stats.messages;
         if (raw_) {
           // One direct store from the send payload into the peer's receive
           // buffer: the only copy this exchange makes for the message.
-          win_->put(std::as_bytes(fsend.subspan(senddispls_[d], count)), dst,
+          win_->put(fsend.subspan(senddispls_[d] * unit_, count * unit_), dst,
                     target_offset_[d] + bank_off(d, f));
-          stats.wire_bytes += count * sizeof(double);
+          stats.wire_bytes += count * unit_;
           ++stats.chunks_issued;
           continue;
         }
@@ -580,22 +622,17 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const double> send,
         }
       }
       // Round j's exposure is closed: every (source, field) slot of this
-      // round is complete, so its decode can overlap the remaining rounds'
-      // puts.
-      if (!raw_) {
-        for (const int src : pscw_sources_[static_cast<std::size_t>(j)]) {
-          const auto s = static_cast<std::size_t>(src);
-          if (recvcounts_[s] == 0) continue;
-          for (std::size_t f = 0; f < nf; ++f) {
-            if (decode_async) {
-              decode_inflight_.push_back(
-                  WorkerPool::global().submit([this, s, seq, f, fr =
-                                                                field_recv(f)] {
-                    decode_source(s, seq, fr, f);
-                  }));
-            } else {
-              decode_source(s, seq, field_recv(f), f);
-            }
+      // round is complete, so its delivery can overlap the remaining
+      // rounds' puts.
+      for (const int src : pscw_sources_[static_cast<std::size_t>(j)]) {
+        const auto s = static_cast<std::size_t>(src);
+        if (recvcounts_[s] == 0) continue;
+        for (std::size_t f = 0; f < nf; ++f) {
+          if (decode_async) {
+            decode_inflight_.push_back(WorkerPool::global().submit(
+                [this, s, seq, f] { decode_source(s, seq, f); }));
+          } else {
+            decode_source(s, seq, f);
           }
         }
       }
@@ -603,47 +640,35 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const double> send,
       win_->fence();
     }
   }
-  // Raw fence mode: single global completion fence (codec fence mode
-  // already closed the last round's epoch above).
-  if (options_.sync == OscSync::kFence && raw_) win_->fence();
-
-  if (raw_) {
-    if (pscw) finish_skew_epoch(stats);
-    return stats;
-  }
 
   if (pscw) {
-    // Every source was decoded (or dispatched) as its round completed;
+    // Every source was delivered (or dispatched) as its round completed;
     // reap the pool jobs before the next epoch may repost their slots.
     for (auto& f : decode_inflight_) f.get();
     decode_inflight_.clear();
     finish_skew_epoch(stats);
-    if (coded_) {
-      stats.chunks_reconstructed =
-          reconstructed_.load(std::memory_order_relaxed);
-      stats.straggler_waits = straggler_waits_.load(std::memory_order_relaxed);
-      rethrow_decode_error();
-    }
-    return stats;
-  }
-
-  // --- Fence mode: decompress the whole received window -------------------
-  // As the paper does, decode starts only after the final synchronization;
-  // sizes come from the slot headers, never from a collective. Work items
-  // cover every (field, source) pair of the batch.
-  const auto unpack_src = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t k = lo; k < hi; ++k) {
-      const std::size_t f = k / static_cast<std::size_t>(p_);
-      const std::size_t s = k % static_cast<std::size_t>(p_);
-      if (recvcounts_[s] == 0) continue;
-      decode_source(s, seq, field_recv(f), f);
-    }
-  };
-  const std::size_t work = static_cast<std::size_t>(p_) * nf;
-  if (workers_ > 1) {
-    WorkerPool::global().parallel_for(work, 1, unpack_src, workers_);
   } else {
-    unpack_src(0, work);
+    // --- Fence mode: deliver the whole received window --------------------
+    // Raw mode closes its epoch with one global completion fence (codec
+    // fence mode already closed the last round's epoch above). As the
+    // paper does, decode starts only after the final synchronization;
+    // sizes come from the slot headers, never from a collective. Work
+    // items cover every (field, source) pair of the batch.
+    if (raw_) win_->fence();
+    const auto deliver = [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t k = lo; k < hi; ++k) {
+        const std::size_t f = k / static_cast<std::size_t>(p_);
+        const std::size_t s = k % static_cast<std::size_t>(p_);
+        if (recvcounts_[s] == 0) continue;
+        decode_source(s, seq, f);
+      }
+    };
+    const std::size_t work = static_cast<std::size_t>(p_) * nf;
+    if (workers_ > 1) {
+      WorkerPool::global().parallel_for(work, 1, deliver, workers_);
+    } else {
+      deliver(0, work);
+    }
   }
   if (coded_) {
     stats.chunks_reconstructed =
@@ -655,44 +680,50 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const double> send,
 }
 
 void ExchangePlan::decode_source(std::size_t s, std::uint16_t seq,
-                                 std::span<double> recv, std::size_t f) {
+                                 std::size_t f) {
+  const std::span<std::byte> msg = recv_message(s, f);
   if (coded_) {
     // Coded failures are real runtime conditions (lost beyond the parity
     // budget), not sync bugs: capture the Error and let the collective
     // protocol finish — aborting mid-ring would deadlock the peers —
     // then execute rethrows it.
     try {
-      decode_source_coded(s, seq, recv, f);
+      decode_source_coded(s, seq, f, as_doubles(msg));
     } catch (...) {
       std::lock_guard lk(decode_error_mu_);
       if (!decode_error_) decode_error_ = std::current_exception();
+      return;
     }
-    return;
+  } else if (!raw_) {
+    const std::uint64_t bank = f * bank_stride_;
+    const std::uint64_t header =
+        win_->read_local_header(slot_offset_[s] + bank);
+    // The notify flag: a mismatched sequence means the source's put for
+    // this epoch has not landed (or a stale epoch leaked through) — a
+    // synchronization bug, caught here instead of decoding garbage.
+    LFFT_ASSERT(static_cast<std::uint16_t>(header >> 48) == seq);
+    const std::uint64_t wire = header & kHeaderBytesMask;
+    LFFT_ASSERT(fixed_ ? wire == recv_wire_cap_[s]
+                       : wire <= recv_wire_cap_[s]);
+    // A one-chunk message decodes the header's byte count (a variable-rate
+    // stream's encoded size); the chunks of a longer, fixed-rate message
+    // decode at their exact capacities.
+    const auto [begin, end] = unpack_range_[s];
+    for (std::size_t i = begin; i < end; ++i) {
+      const PlanChunk& job = unpack_jobs_[i];
+      codec_->decompress(
+          std::span<const std::byte>(
+              window_store_.data() + bank + job.stage_off,
+              end - begin == 1 ? wire : job.wire_bytes),
+          as_doubles(msg).subspan(job.elem_off, job.elem_cnt));
+    }
   }
-  const std::uint64_t bank = f * bank_stride_;
-  const std::uint64_t header = win_->read_local_header(slot_offset_[s] + bank);
-  // The notify flag: a mismatched sequence means the source's put for this
-  // epoch has not landed (or a stale epoch leaked through) — a
-  // synchronization bug, caught here instead of decoding garbage.
-  LFFT_ASSERT(static_cast<std::uint16_t>(header >> 48) == seq);
-  const std::uint64_t wire = header & kHeaderBytesMask;
-  LFFT_ASSERT(fixed_ ? wire == recv_wire_cap_[s] : wire <= recv_wire_cap_[s]);
-  // A one-chunk message decodes the header's byte count (a variable-rate
-  // stream's encoded size); the chunks of a longer, fixed-rate message
-  // decode at their exact capacities.
-  const auto [begin, end] = unpack_range_[s];
-  for (std::size_t i = begin; i < end; ++i) {
-    const PlanChunk& job = unpack_jobs_[i];
-    codec_->decompress(
-        std::span<const std::byte>(window_store_.data() + bank + job.stage_off,
-                                   end - begin == 1 ? wire : job.wire_bytes),
-        recv.subspan(recvdispls_[s] + job.elem_off, job.elem_cnt));
-  }
+  // A raw slot is the message itself: the puts landed it in place.
+  sink_(sink_ctx_, s, f, msg);
 }
 
 void ExchangePlan::decode_source_coded(std::size_t s, std::uint16_t seq,
-                                       std::span<double> recv,
-                                       std::size_t f) {
+                                       std::size_t f, std::span<double> out) {
   const std::uint64_t bank = f * bank_stride_;
   const auto [begin, end] = unpack_range_[s];
   const std::size_t k = end - begin;
@@ -816,9 +847,8 @@ void ExchangePlan::decode_source_coded(std::size_t s, std::uint16_t seq,
         clean[i] ? nbytes[i] : (fixed_ ? job.wire_bytes : pbytes[0]);
     const std::byte* const src =
         clean[i] ? w + job.stage_off : solved_for[i].data();
-    codec_->decompress(
-        std::span<const std::byte>(src, b),
-        recv.subspan(recvdispls_[s] + job.elem_off, job.elem_cnt));
+    codec_->decompress(std::span<const std::byte>(src, b),
+                       out.subspan(job.elem_off, job.elem_cnt));
   }
 }
 
@@ -830,17 +860,17 @@ void ExchangePlan::rethrow_decode_error() {
   }
 }
 
-ExchangeStats ExchangePlan::execute_two_sided(std::span<const double> send,
-                                              std::span<double> recv) {
+ExchangeStats ExchangePlan::execute_two_sided(std::span<const std::byte> send,
+                                              std::size_t f) {
   // Pairwise exchange with the codec fused into the transport: encode runs
   // inside isend_produce (straight into the eager slab, or into this
   // plan's pinned staging published zero-copy), decode runs inside
   // recv_consume (straight out of the sender's buffer). One codec pass per
   // direction, no intermediate wire buffers — the two-sided compressed
   // path at the one-sided raw path's copy count. A raw message is an isend
-  // of the send span itself, so at rendezvous sizes its only copy is the
-  // receiver's IdentityCodec decode. Peers agree on which pairs exchange
-  // because count knowledge is symmetric.
+  // of the send span itself, handed to the sink inside recv_consume, so at
+  // rendezvous sizes its only copy is the sink's. Peers agree on which
+  // pairs exchange because count knowledge is symmetric.
   //
   // On the coded wire every message travels as one
   // [header][checksum][payload] frame plus parity_ replica frames on their
@@ -855,7 +885,7 @@ ExchangeStats ExchangePlan::execute_two_sided(std::span<const double> send,
   ExchangeStats stats;
   stats.rounds = p_;
   for (std::size_t i = 0; i < p; ++i) {
-    stats.payload_bytes += sendcounts_[i] * sizeof(double);
+    stats.payload_bytes += sendcounts_[i] * unit_;
     if (sendcounts_[i] > 0) ++stats.messages;
   }
 
@@ -872,24 +902,26 @@ ExchangeStats ExchangePlan::execute_two_sided(std::span<const double> send,
 
   // Self message: a local codec round trip with no transport and no faults
   // (kept — the exchange must stay byte-identical to the one-sided paths,
-  // lossiness included); raw mode decodes the send span itself, one copy.
-  // The uncoded wire counts it as a chunk like every message; the coded
-  // wire counts the frames it sends, and this message sends none.
+  // lossiness included); raw mode delivers the send span itself. It counts
+  // as one chunk and stamps its arrival on every wire.
   const auto m = static_cast<std::size_t>(me);
   if (sendcounts_[m] > 0) {
-    const std::span<const double> block =
-        send.subspan(senddispls_[m], sendcounts_[m]);
-    std::span<const std::byte> wire = std::as_bytes(block);
+    std::span<const std::byte> msg =
+        send.subspan(senddispls_[m] * unit_, sendcounts_[m] * unit_);
+    std::uint64_t wire = msg.size();
     if (!raw_) {
       std::byte* const staging = stage_.data() + stage_off_[m] + spad;
-      wire = std::span<const std::byte>(
-          staging, codec_->compress(block, std::span<std::byte>(
-                                               staging, send_wire_cap_[m])));
+      wire = codec_->compress(
+          as_doubles(msg), std::span<std::byte>(staging, send_wire_cap_[m]));
+      const std::span<std::byte> dst = recv_message(m, f);
+      codec_->decompress(std::span<const std::byte>(staging, wire),
+                         as_doubles(dst));
+      msg = dst;
     }
-    stats.wire_bytes += wire.size();
-    if (!coded_) ++stats.chunks_issued;
-    codec_->decompress(wire, recv.subspan(recvdispls_[m], recvcounts_[m]));
-    if (!coded_ && recvcounts_[m] > 0) arrival_time_[m] = now_seconds();
+    stats.wire_bytes += wire;
+    ++stats.chunks_issued;
+    sink_(sink_ctx_, m, f, msg);
+    if (recvcounts_[m] > 0) arrival_time_[m] = now_seconds();
   }
 
   std::uint64_t reconstructed = 0;
@@ -900,12 +932,11 @@ ExchangeStats ExchangePlan::execute_two_sided(std::span<const double> send,
     std::array<minimpi::Comm::Request, coded::kMaxParity> preq;
     bool sent = false;
     if (sendcounts_[dst] > 0) {
-      const std::span<const double> block =
-          send.subspan(senddispls_[dst], sendcounts_[dst]);
+      const std::span<const std::byte> block =
+          send.subspan(senddispls_[dst] * unit_, sendcounts_[dst] * unit_);
       if (raw_) {
-        req = comm_.isend(std::as_bytes(block), static_cast<int>(dst),
-                          kFusedTag);
-        stats.wire_bytes += block.size_bytes();
+        req = comm_.isend(block, static_cast<int>(dst), kFusedTag);
+        stats.wire_bytes += block.size();
       } else if (fixed_ && !coded_) {
         // Size is count-derived: the transport can place the encode.
         req = comm_.isend_produce(
@@ -916,7 +947,8 @@ ExchangeStats ExchangePlan::execute_two_sided(std::span<const double> send,
               // Whole-message encodes may undershoot the cap on tail
               // packing; the message still travels at cap size (decoders
               // read only what they need).
-              const std::size_t used = codec_->compress(block, out);
+              const std::size_t used =
+                  codec_->compress(as_doubles(block), out);
               LFFT_ASSERT(used <= out.size());
             });
         stats.wire_bytes += send_wire_cap_[dst];
@@ -928,8 +960,10 @@ ExchangeStats ExchangePlan::execute_two_sided(std::span<const double> send,
         // replicas must not inherit it. Each replica send is an
         // independent fault-injection target.
         std::byte* const fr = stage_.data() + stage_off_[dst];
-        const std::size_t used = codec_->compress(
-            block, std::span<std::byte>(fr + spad, send_wire_cap_[dst]));
+        const std::size_t used =
+            codec_->compress(as_doubles(block),
+                             std::span<std::byte>(fr + spad,
+                                                  send_wire_cap_[dst]));
         const std::span<const std::byte> frame(fr, spad + used);
         if (coded_) {
           const std::uint64_t h = make_slot_header(seq, used);
@@ -960,9 +994,11 @@ ExchangeStats ExchangePlan::execute_two_sided(std::span<const double> send,
       sent = true;
     }
     if (recvcounts_[src] > 0) {
-      // The first clean frame of the message decodes (an uncoded message
-      // is its one frame); later frames are drained and discarded — the
-      // pairwise protocol consumes them regardless.
+      // The first clean frame of the message is delivered (an uncoded
+      // message is its one frame): a raw one straight from the transport's
+      // buffer, a codec one after decoding it into the pinned span. Later
+      // frames are drained and discarded — the pairwise protocol consumes
+      // them regardless.
       bool done = false;
       auto consume = [&](std::span<const std::byte> wire) {
         if (done) return;
@@ -970,8 +1006,16 @@ ExchangeStats ExchangePlan::execute_two_sided(std::span<const double> send,
           if (!clean_frame(wire, seq, recv_wire_cap_[src])) return;
           wire = wire.subspan(coded::kFrameBytes);
         }
-        codec_->decompress(wire,
-                           recv.subspan(recvdispls_[src], recvcounts_[src]));
+        std::span<const std::byte> msg = wire;
+        if (raw_) {
+          LFFT_REQUIRE(wire.size() == recvcounts_[src] * unit_,
+                       "ExchangePlan: raw payload size mismatch");
+        } else {
+          const std::span<std::byte> dst = recv_message(src, f);
+          codec_->decompress(wire, as_doubles(dst));
+          msg = dst;
+        }
+        sink_(sink_ctx_, src, f, msg);
         done = true;
       };
       comm_.recv_consume(static_cast<int>(src), kFusedTag, consume);
@@ -980,8 +1024,8 @@ ExchangeStats ExchangePlan::execute_two_sided(std::span<const double> send,
         comm_.recv_consume(static_cast<int>(src), kFusedParityTag + jj,
                            consume);
       }
-      // Per-partner completion: the uncoded pairwise loop's arrival event.
-      if (!coded_) arrival_time_[src] = now_seconds();
+      // Per-partner completion: the pairwise loop's arrival event.
+      arrival_time_[src] = now_seconds();
       if (!data_clean && done) ++reconstructed;
       if (!done) {
         // Every frame of the group failed validation: unrecoverable. The

@@ -51,6 +51,23 @@
 // one-sided raw path. Raw messages publish the send span itself; the coded
 // wire frames each message and sends its parity replicas on their own tags.
 //
+// Delivery: every transport hands each finished (source, field) message to
+// one caller-supplied sink, exactly once, as the message's bytes in the
+// caller's element layout. A one-sided slot, raw or codec, fence or PSCW,
+// is delivered by decode_source from the pinned receive span (raw slots
+// land there directly; codec slots are decoded there first); a two-sided
+// message by the pairwise loop's receive, straight from the transport's
+// buffer when the wire is raw and uncoded, from the pinned span after the
+// decode otherwise. So every plan but the uncoded raw two-sided one lands
+// its messages in the pinned span (needs_recv()). Reshape's sink unpacks
+// the rows into the destination field; execute(send, recv)'s default sink
+// copies a message into `recv` only when it is not already there.
+//
+// Elements: counts and displacements are in elements of the caller's
+// width. A raw wire moves any trivially-copyable element as bytes; codec
+// and coded wires view the elements as doubles, so their width must be a
+// multiple of sizeof(double).
+//
 // Construction, execution, and destruction of a one-sided plan are
 // collective over the communicator (window lifecycle + offset exchange):
 // every rank must create, execute, and destroy its plans in the same order.
@@ -63,6 +80,7 @@
 #include <memory>
 #include <mutex>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "minimpi/comm.hpp"
@@ -79,16 +97,36 @@ enum class PlanBackend {
 
 class ExchangePlan {
  public:
+  /// The delivery sink: receives source `source`'s message of field
+  /// `field`, recvcounts[source] elements in the caller's layout. Called
+  /// once per non-empty (source, field) message, on the rank thread or a
+  /// pool worker; distinct messages may be delivered concurrently.
+  using Sink = void (*)(void* ctx, std::size_t source, std::size_t field,
+                        std::span<const std::byte> message);
+
   /// Collective for kOneSided (offset all-to-all + window creation).
-  /// Counts/displs are in double elements and are copied; `recv` is pinned
-  /// for the plan's lifetime — every execute() must pass the same span
-  /// (raw one-sided mode exposes it as the RMA window).
+  /// Counts/displs are in elements of `elem_bytes` bytes and are copied;
+  /// `recv` is pinned for the plan's lifetime and holds options.batch
+  /// field banks (raw one-sided mode exposes it as the RMA window). A plan
+  /// for which needs_recv() is false never touches it, so it may be empty.
   ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
                std::span<const std::uint64_t> sendcounts,
                std::span<const std::uint64_t> senddispls,
                std::span<const std::uint64_t> recvcounts,
                std::span<const std::uint64_t> recvdispls,
-               std::span<double> recv, const OscOptions& options);
+               std::span<std::byte> recv, std::size_t elem_bytes,
+               const OscOptions& options);
+
+  /// Double elements: the constructor above at sizeof(double).
+  ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
+               std::span<const std::uint64_t> sendcounts,
+               std::span<const std::uint64_t> senddispls,
+               std::span<const std::uint64_t> recvcounts,
+               std::span<const std::uint64_t> recvdispls,
+               std::span<double> recv, const OscOptions& options)
+      : ExchangePlan(comm, backend, sendcounts, senddispls, recvcounts,
+                     recvdispls, std::as_writable_bytes(recv),
+                     sizeof(double), options) {}
 
   /// Collective for kOneSided (window destruction).
   ~ExchangePlan();
@@ -96,20 +134,43 @@ class ExchangePlan {
   ExchangePlan(const ExchangePlan&) = delete;
   ExchangePlan& operator=(const ExchangePlan&) = delete;
 
+  /// Whether a plan of this backend and options lands its messages in the
+  /// pinned receive span: every plan but the uncoded raw two-sided one,
+  /// which delivers straight from the transport's buffer.
+  static bool needs_recv(PlanBackend backend, const OscOptions& options);
+
   /// Run the exchange: execute_batch() with one field. Collective; `recv`
   /// must be the first pinned field (the whole pinned span when
   /// options.batch == 1).
   ExchangeStats execute(std::span<const double> send, std::span<double> recv);
 
-  /// Exchange `fields` same-layout fields (1 <= fields <= options.batch)
-  /// in one synchronization epoch: the one-sided path opens the epoch
-  /// once, issues every field's puts per ring round, and closes each round
-  /// once — fences and PSCW handshakes are paid per *batch*, not per
-  /// field. `send` and `recv` hold `fields` consecutive field images
-  /// (`recv` must be the pinned span's leading `fields` banks). Collective;
-  /// received bytes are identical to `fields` back-to-back execute() calls.
+  /// execute_batch() with the default sink, which copies each message into
+  /// `recv` unless it already sits there. `recv` must be the pinned
+  /// span's leading `fields` banks. Collective.
   ExchangeStats execute_batch(std::span<const double> send,
                               std::span<double> recv, int fields);
+
+  /// Exchange `fields` same-layout fields (1 <= fields <= options.batch)
+  /// in one synchronization epoch, handing every finished message to
+  /// `sink`: the one-sided path opens the epoch once, issues every field's
+  /// puts per ring round, and closes each round once — fences and PSCW
+  /// handshakes are paid per *batch*, not per field. `send` holds `fields`
+  /// consecutive field images. Collective; delivered bytes are identical
+  /// to `fields` back-to-back single-field calls.
+  ExchangeStats execute_batch(std::span<const std::byte> send, int fields,
+                              Sink sink, void* ctx);
+  template <typename F>
+  ExchangeStats execute_batch(std::span<const std::byte> send, int fields,
+                              F&& sink) {
+    return execute_batch(
+        send, fields,
+        [](void* c, std::size_t source, std::size_t field,
+           std::span<const std::byte> message) {
+          (*static_cast<std::remove_reference_t<F>*>(c))(source, field,
+                                                         message);
+        },
+        static_cast<void*>(std::addressof(sink)));
+  }
 
   PlanBackend backend() const { return backend_; }
   const OscOptions& options() const { return options_; }
@@ -117,8 +178,8 @@ class ExchangePlan {
   /// Accumulated per-source arrival lag (seconds behind the epoch's first
   /// arrival, summed over epochs), one slot per communicator rank. Only the
   /// per-source observability paths record it — PSCW one-sided (a source is
-  /// stamped when its round's exposure closes) and the uncoded two-sided
-  /// wire (stamped per recv_consume); fence epochs end in one
+  /// stamped when its round's exposure closes) and the two-sided wire
+  /// (stamped per partner, coded or not); fence epochs end in one
   /// global event and contribute nothing. Normalize by
   /// ExchangeStats::skew_epochs for a per-epoch figure. Local, not
   /// collective; the span stays valid for the plan's lifetime.
@@ -150,28 +211,31 @@ class ExchangePlan {
     int prow = -1;
   };
 
-  ExchangeStats execute_one_sided(std::span<const double> send,
-                                  std::span<double> recv, int fields);
-  ExchangeStats execute_two_sided(std::span<const double> send,
-                                  std::span<double> recv);
+  ExchangeStats execute_one_sided(std::span<const std::byte> send,
+                                  int fields);
+  ExchangeStats execute_two_sided(std::span<const std::byte> send,
+                                  std::size_t f);
 
-  /// Decode+unpack source `s`'s slot in field bank `f` into that field's
-  /// `recv` span, after verifying the slot header's epoch sequence (the
-  /// put-with-notify flag) matches `seq`. Runs on the rank thread or a
-  /// pool worker; (source, field) pairs touch disjoint window and recv
-  /// regions, so decodes need no coordination.
-  void decode_source(std::size_t s, std::uint16_t seq, std::span<double> recv,
-                     std::size_t f);
+  /// Source `s`'s message of field `f` in the pinned receive span.
+  std::span<std::byte> recv_message(std::size_t s, std::size_t f) const;
 
-  /// Coded decode of source `s`: scan the slot's data+parity frame headers
-  /// and checksums, reconstruct ≤ m erasures from any k clean arrivals
-  /// (Window::flush_delayed as the waiting fallback), re-validate the
-  /// recovered chunk against the parity headers, decode. An unrecoverable
-  /// group (> m erasures) raises a loud Error — captured into
-  /// `decode_error_` by decode_source so the collective protocol finishes
-  /// before execute rethrows it.
-  void decode_source_coded(std::size_t s, std::uint16_t seq,
-                           std::span<double> recv, std::size_t f);
+  /// Deliver source `s`'s slot in field bank `f`: a raw slot as it landed,
+  /// a codec slot after verifying its header's epoch sequence (the
+  /// put-with-notify flag) matches `seq` and decoding it into the pinned
+  /// receive span. Runs on the rank thread or a pool worker; (source,
+  /// field) pairs touch disjoint window and recv regions, so deliveries
+  /// need no coordination.
+  void decode_source(std::size_t s, std::uint16_t seq, std::size_t f);
+
+  /// Coded decode of source `s` into `out`: scan the slot's data+parity
+  /// frame headers and checksums, reconstruct ≤ m erasures from any k
+  /// clean arrivals (Window::flush_delayed as the waiting fallback),
+  /// re-validate the recovered chunk against the parity headers, decode.
+  /// An unrecoverable group (> m erasures) raises a loud Error — captured
+  /// into `decode_error_` by decode_source so the collective protocol
+  /// finishes before execute rethrows it.
+  void decode_source_coded(std::size_t s, std::uint16_t seq, std::size_t f,
+                           std::span<double> out);
 
   /// Rethrow (and clear) a decode error deferred by decode_source. Called
   /// once per execute after every decode has been reaped.
@@ -188,9 +252,15 @@ class ExchangePlan {
   int p_ = 0;
   int workers_ = 1;
   int batch_ = 1;  // Field capacity (options.batch).
+  // Bytes per counted unit: the caller's element on a raw wire, a double
+  // on codec and coded wires (counts are scaled to doubles there).
+  std::size_t unit_ = sizeof(double);
+  // The current execute's delivery sink.
+  Sink sink_ = nullptr;
+  void* sink_ctx_ = nullptr;
 
-  std::span<double> recv_pinned_;
-  // Per-field extent of the pinned receive span, in elements
+  std::span<std::byte> recv_pinned_;
+  // Per-field extent of the pinned receive span, in bytes
   // (recv_pinned_.size() / batch_): bank f of recv starts at
   // f * recv_extent_.
   std::uint64_t recv_extent_ = 0;

@@ -7,8 +7,9 @@
 // Section V-B; here the chunk loop is the pipeline and netsim prices its
 // overlap), plus the two-sided ablation with the same codec.
 //
-// Payloads are spans of doubles (complex data is viewed as interleaved
-// re/im); counts and displacements are in double elements.
+// Codecs see payloads as spans of doubles (complex data is viewed as
+// interleaved re/im); a raw plan moves any trivially-copyable element
+// (ExchangePlan's element width).
 #pragma once
 
 #include <cstdint>
@@ -101,8 +102,8 @@ struct ExchangeStats {
   std::uint64_t straggler_waits = 0;  // Recoveries that had to flush
                                       // delayed puts before reconstructing.
   // Arrival-skew counters (per-source observability paths only: PSCW
-  // one-sided and the uncoded two-sided pairwise loop, where each source's
-  // completion is individually visible; fence mode sees one global event
+  // one-sided and the two-sided pairwise loop, coded or not, where each
+  // source's completion is individually visible; fence mode sees one global event
   // and records nothing). The measurement hook for feeding measured
   // straggler statistics back into the tuner's straggler constants.
   std::uint64_t skew_epochs = 0;   // Epochs that observed >= 2 arrivals.

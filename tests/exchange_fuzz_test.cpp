@@ -19,6 +19,7 @@
 #include <vector>
 
 #include <array>
+#include <atomic>
 #include <complex>
 #include <cstring>
 #include <tuple>
@@ -147,8 +148,52 @@ std::vector<CodecCase> codec_cases(Xoshiro256& rng) {
   return cs;
 }
 
+// Deliver a batch of two copies of the layout's send field through a
+// counting sink, twice (plan reuse): every non-empty (source, field) message
+// must arrive exactly once, carrying the reference's bytes. A plan that
+// does not land messages in a pinned span gets none.
+void check_sink(Comm& comm, PlanBackend backend, const OscOptions& options,
+                std::uint64_t seed, bool self_only, const FuzzLayout& ref,
+                const std::string& where) {
+  const int p = comm.size();
+  auto l = make_fuzz_layout(seed, p, comm.rank(), self_only);
+  OscOptions o = options;
+  o.batch = 2;
+  std::vector<double> recv(
+      ExchangePlan::needs_recv(backend, o) ? 2 * l.recv.size() : 0);
+  ExchangePlan plan(comm, backend, l.sc, l.sd, l.rc, l.rd,
+                    std::as_writable_bytes(std::span<double>(recv)),
+                    sizeof(double), o);
+  std::vector<double> send(l.send);
+  send.insert(send.end(), l.send.begin(), l.send.end());
+  const auto n = static_cast<std::size_t>(2 * p);
+  for (int it = 0; it < 2; ++it) {
+    // Sinks may run on pool workers, so the tallies are atomic.
+    std::vector<std::atomic<int>> seen(n), bad(n);
+    plan.execute_batch(
+        std::as_bytes(std::span<const double>(send)), 2,
+        [&](std::size_t s, std::size_t f, std::span<const std::byte> m) {
+          const std::size_t k = f * static_cast<std::size_t>(p) + s;
+          seen[k].fetch_add(1);
+          if (m.size() != ref.rc[s] * sizeof(double) ||
+              std::memcmp(m.data(), ref.recv.data() + ref.rd[s],
+                          m.size()) != 0) {
+            bad[k].fetch_add(1);
+          }
+        });
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t s = k % static_cast<std::size_t>(p);
+      EXPECT_EQ(seen[k].load(), ref.rc[s] > 0 ? 1 : 0)
+          << where << " src=" << s << " field=" << k / p << " it=" << it;
+      EXPECT_EQ(bad[k].load(), 0)
+          << where << " src=" << s << " field=" << k / p << " it=" << it;
+    }
+  }
+}
+
 // Run one (layout, codec) configuration through every path twice (plan
-// reuse) and demand bitwise identity against the naive reference.
+// reuse) and demand bitwise identity against the naive reference, then
+// once more through a counting sink.
 void check_conformance(Comm& comm, std::uint64_t seed, bool self_only,
                        int gpn, const CodecCase& cc) {
   const int p = comm.size();
@@ -195,6 +240,8 @@ void check_conformance(Comm& comm, std::uint64_t seed, bool self_only,
         }
       }
     }
+    check_sink(comm, ps.backend, o, seed, self_only, ref,
+               std::string("sink path=") + ps.name + " codec=" + cc.name);
   }
 
   // Exactness oracle for the non-lossy classes: the reference itself must
@@ -359,8 +406,13 @@ TEST_P(ExchangeFuzzCoded, FaultedAndCleanCodedRunsMatchUncodedBitwise) {
         o.parity = 2;
         {
           // Coded, zero faults: bit-identical, parity on the wire, nothing
-          // reconstructed.
+          // reconstructed, and the uncoded wire's skew epochs.
           auto l = make_fuzz_layout(seed, p, comm.rank(), false);
+          OscOptions uo = o;
+          uo.parity = 0;
+          ExchangePlan uplan(comm, ps.backend, l.sc, l.sd, l.rc, l.rd,
+                             std::span<double>(l.recv), uo);
+          const auto ust = uplan.execute(l.send, l.recv);
           ExchangePlan plan(comm, ps.backend, l.sc, l.sd, l.rc, l.rd,
                             std::span<double>(l.recv), o);
           std::fill(l.recv.begin(), l.recv.end(), -999.0);
@@ -368,15 +420,23 @@ TEST_P(ExchangeFuzzCoded, FaultedAndCleanCodedRunsMatchUncodedBitwise) {
           expect_ref(l, ps.name, "clean", 1);
           // Parity only travels on cross-rank messages; a rank whose
           // random layout sends nothing off-rank legitimately reports 0.
-          bool sends_cross = false;
+          int cross = 0;
           for (int d = 0; d < p; ++d) {
             if (d != comm.rank() && l.sc[static_cast<std::size_t>(d)] > 0) {
-              sends_cross = true;
+              ++cross;
             }
           }
-          if (sends_cross) {
+          if (cross > 0) {
             EXPECT_GT(st.parity_bytes, 0u) << ps.name << " " << cc.name;
           }
+          if (ps.backend == PlanBackend::kTwoSided) {
+            // Every message is one chunk, the self message included, and
+            // each off-rank one adds its parity replicas.
+            EXPECT_EQ(st.chunks_issued, st.messages + o.parity * cross)
+                << cc.name;
+          }
+          EXPECT_EQ(st.skew_epochs, ust.skew_epochs)
+              << ps.name << " " << cc.name;
           EXPECT_EQ(st.chunks_reconstructed, 0u) << ps.name << " " << cc.name;
         }
         {

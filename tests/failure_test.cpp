@@ -142,6 +142,27 @@ TEST(FailureOsc, MismatchedCountsRejectedBeforeAnyExchange) {
   });
 }
 
+TEST(FailureOsc, CodedChunksAboveGroupLimitRejectedOnEveryRank) {
+  // Only rank 1 receives, so a limit checked per received message would
+  // throw on rank 1 alone and strand rank 0 in the offset exchange. The
+  // option is shared, so every rank must reject it before any collective.
+  minimpi::run_ranks(2, [](minimpi::Comm& comm) {
+    const bool sender = comm.rank() == 0;
+    const std::vector<std::uint64_t> sc{0, sender ? 4000u : 0u};
+    const std::vector<std::uint64_t> rc{sender ? 0u : 4000u, 0};
+    const std::vector<std::uint64_t> zero(2, 0);
+    std::vector<double> recv(sender ? 0 : 4000);
+    osc::OscOptions o;
+    o.codec = std::make_shared<CastFp32Codec>();
+    o.chunks = osc::coded::kMaxDataChunks + 36;
+    o.parity = 1;
+    EXPECT_THROW(osc::ExchangePlan(comm, osc::PlanBackend::kOneSided, sc,
+                                   zero, rc, zero, recv, o),
+                 Error);
+    comm.barrier();
+  });
+}
+
 TEST(FailureWindow, OverlongPutAndGetRejected) {
   minimpi::run_ranks(2, [](minimpi::Comm& comm) {
     std::vector<std::byte> store(16);

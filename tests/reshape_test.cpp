@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <string>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -169,39 +171,125 @@ TEST(Reshape, CompressedExchangeBoundsError) {
   });
 }
 
+// Float images of fill_box(): the real part for float, both parts for
+// complex<float>, negated in odd fields so a field mix-up shows. The
+// fingerprints of grids up to 9x7x5 are exact in float.
+template <typename E>
+std::vector<E> float_box(const Box3& b, int fields) {
+  std::vector<E> v;
+  for (int f = 0; f < fields; ++f) {
+    for (const auto& c : fill_box(b)) {
+      const auto s = f % 2 == 0 ? c : -c;
+      if constexpr (std::is_same_v<E, float>) {
+        v.push_back(static_cast<float>(s.real()));
+      } else {
+        v.emplace_back(static_cast<float>(s.real()),
+                       static_cast<float>(s.imag()));
+      }
+    }
+  }
+  return v;
+}
+
+template <typename E>
+void check_float_reshape(Comm& comm, const std::vector<Box3>& from,
+                         const std::vector<Box3>& to, const ReshapeOptions& o,
+                         const std::string& where) {
+  Reshape<E> rs(comm, from, to, o);
+  const int fields = o.batch;
+  const auto in = float_box<E>(rs.inbox(), fields);
+  const auto want = float_box<E>(rs.outbox(), fields);
+  std::vector<E> out(want.size());
+  for (int it = 0; it < 2; ++it) {
+    std::fill(out.begin(), out.end(), E(-7));
+    if (fields == 1) {
+      rs.execute(in, out);
+    } else {
+      rs.execute_batch(in, out, fields);
+    }
+    std::size_t wrong = 0;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      if (std::memcmp(&out[i], &want[i], sizeof(E)) != 0) ++wrong;
+    }
+    EXPECT_EQ(wrong, 0u) << where << " it=" << it;
+  }
+}
+
 TEST(Reshape, FloatFieldsExchangeRaw) {
-  run_ranks(4, [](Comm& comm) {
-    const std::array<int, 3> n{8, 8, 8};
+  // Float fields travel raw on both backends. Bricks -> y-pencils of a
+  // 9x7x5 grid on 4 ranks give odd float message counts; every element
+  // must land at its fill position on every transport, single-field and
+  // batched, over two executes of one plan.
+  struct Transport {
+    ExchangeBackend backend;
+    osc::OscSync sync;
+    const char* name;
+  };
+  const Transport transports[] = {
+      {ExchangeBackend::kPairwise, osc::OscSync::kFence, "pairwise"},
+      {ExchangeBackend::kOsc, osc::OscSync::kFence, "osc-fence"},
+      {ExchangeBackend::kOsc, osc::OscSync::kPscw, "osc-pscw"}};
+  run_ranks(4, [&](Comm& comm) {
+    const std::array<int, 3> n{9, 7, 5};
     const auto bricks = split_brick(n, proc_grid3(4));
     const auto pencils = split_pencil(n, 1, 4);
-    Reshape<std::complex<float>> rs(comm, bricks, pencils, ReshapeOptions{});
-    const Box3& ib = rs.inbox();
-    std::vector<std::complex<float>> in(
-        static_cast<std::size_t>(ib.count()));
-    std::size_t i = 0;
-    for (int z = ib.lo[2]; z < ib.hi(2); ++z)
-      for (int y = ib.lo[1]; y < ib.hi(1); ++y)
-        for (int x = ib.lo[0]; x < ib.hi(0); ++x)
-          in[i++] = {static_cast<float>(x + 8 * y),
-                     static_cast<float>(z)};
-    std::vector<std::complex<float>> out(
-        static_cast<std::size_t>(rs.outbox().count()));
-    rs.execute(in, out);
-    const Box3& ob = rs.outbox();
-    i = 0;
-    for (int z = ob.lo[2]; z < ob.hi(2); ++z)
-      for (int y = ob.lo[1]; y < ob.hi(1); ++y)
-        for (int x = ob.lo[0]; x < ob.hi(0); ++x) {
-          EXPECT_EQ(out[i].real(), static_cast<float>(x + 8 * y));
-          EXPECT_EQ(out[i].imag(), static_cast<float>(z));
-          ++i;
-        }
+    for (const auto& t : transports) {
+      for (const int batch : {1, 2}) {
+        ReshapeOptions o;
+        o.backend = t.backend;
+        o.osc_sync = t.sync;
+        o.gpus_per_node = 2;
+        o.batch = batch;
+        const std::string where =
+            std::string(t.name) + " batch=" + std::to_string(batch);
+        check_float_reshape<float>(comm, bricks, pencils, o,
+                                   "float " + where);
+        check_float_reshape<std::complex<float>>(comm, bricks, pencils, o,
+                                                 "complex<float> " + where);
+      }
+    }
+  });
+}
+
+TEST(Reshape, RawPairwiseExecuteAllocatesNothingAfterWarmup) {
+  // After one warm execute, the raw pairwise exchange of a double-based
+  // and a float field allocates nothing, single-field or batched.
+  const auto check = []<typename E>(Comm& comm, Reshape<E>& rs, int fields) {
+    const auto in_n = static_cast<std::size_t>(rs.inbox().count());
+    const auto out_n = static_cast<std::size_t>(rs.outbox().count());
+    std::vector<E> in(in_n * static_cast<std::size_t>(fields), E(1));
+    std::vector<E> out(out_n * static_cast<std::size_t>(fields));
+    const std::span<const E> one(in.data(), in_n);
+    const std::span<E> one_out(out.data(), out_n);
+    rs.execute(one, one_out);
+    rs.execute_batch(in, out, fields);
+    comm.barrier();
+    t_allocs = 0;
+    t_count_allocs = true;
+    for (int it = 0; it < 2; ++it) {
+      rs.execute(one, one_out);
+      rs.execute_batch(in, out, fields);
+    }
+    t_count_allocs = false;
+    comm.barrier();
+    EXPECT_EQ(t_allocs, 0u) << "rank " << comm.rank() << " elem " << sizeof(E);
+  };
+  run_ranks(4, [&](Comm& comm) {
+    const std::array<int, 3> n{9, 7, 5};
+    const auto bricks = split_brick(n, proc_grid3(4));
+    const auto pencils = split_pencil(n, 1, 4);
+    ReshapeOptions o;
+    o.batch = 2;
+    Reshape<std::complex<double>> rc(comm, bricks, pencils, o);
+    check(comm, rc, 2);
+    Reshape<float> rf(comm, bricks, pencils, o);
+    check(comm, rf, 2);
   });
 }
 
 TEST(Reshape, RawPairwiseDeliversEveryElementAcrossThresholds) {
-  // The raw pairwise rounds (recv_consume unpacking straight from the
-  // sender's buffer, no recvbuf_) must deliver every element at every
+  // The raw pairwise plan (its sink unpacking inside recv_consume straight
+  // from the sender's buffer, no recvbuf_) must deliver every element at every
   // transport regime: all-eager, the default crossover, and
   // all-rendezvous (true zero-copy from the peer's send slice).
   const std::size_t thresholds[] = {minimpi::kEagerOnlyThreshold, 4096, 0};
