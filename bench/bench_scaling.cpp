@@ -134,7 +134,11 @@ int main(int argc, char** argv) {
                  "deterministic, regenerate with bench_scaling. "
                  "default = near-square pencil grid; tuned = decide_decomp "
                  "over slab/pencil x admissible process grids; elided = "
-                 "pack stage skipped on stride-compatible reshapes.\",\n");
+                 "pack stage skipped on stride-compatible reshapes. "
+                 "Row-addressable codecs (fp64->fp32 here) are encoded "
+                 "from and decoded into the fields directly and pay no "
+                 "pack or unpack, so their default-packed and "
+                 "default-elided rows coincide.\",\n");
     std::fprintf(f, "  \"series\": [\n");
     for (std::size_t i = 0; i < rows.size(); ++i) {
       const Row& r = rows[i];

@@ -79,6 +79,16 @@ class Codec {
   ///
   /// Either way, this is what lets ParallelCodec fan shards out across
   /// workers while staying bitwise identical to the serial encoder.
+  ///
+  /// A fixed_size() codec with a nonzero g is *row-addressable*
+  /// (row_addressable() below): values [a, b) with a a multiple of g
+  /// encode to bytes [max_compressed_bytes(a), max_compressed_bytes(b)) of
+  /// the whole stream, so any stretch of a message can be encoded from,
+  /// or decoded into, wherever its elements sit. osc::ExchangePlan
+  /// encodes such a codec's chunks run by run straight from the send
+  /// field and decodes them straight into the receive field (no pack, no
+  /// unpack): fp64 identity, fp32, unscaled fp16, bf16, BitTrim (g = 8)
+  /// and zfpx fixed-rate (g = 4).
   virtual std::size_t parallel_granularity() const { return 0; }
 
   /// Shard-framing core for variable-rate codecs with a nonzero
@@ -101,5 +111,11 @@ class Codec {
 };
 
 using CodecPtr = std::shared_ptr<const Codec>;
+
+/// Fixed rate with a nonzero parallel_granularity(): every g-aligned
+/// stretch of a stream is addressable by the size formula alone.
+inline bool row_addressable(const Codec& c) {
+  return c.fixed_size() && c.parallel_granularity() > 0;
+}
 
 }  // namespace lossyfft

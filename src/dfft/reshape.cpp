@@ -1,5 +1,6 @@
 #include "dfft/reshape.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -13,10 +14,7 @@ namespace lossyfft {
 
 namespace {
 
-// Copy the sub-volume `sub` of `box`-owned data between the box-local
-// buffer and a contiguous staging area (x-fastest within `sub`). Two
-// const-correct directions instead of one template over a cast.
-template <typename E>
+// Offset of row (y, z) of `sub` in `box`'s x-fastest local storage.
 std::size_t subvolume_row_base(const Box3& box, const Box3& sub, int y,
                                int z) {
   return static_cast<std::size_t>(sub.lo[0] - box.lo[0]) +
@@ -26,37 +24,19 @@ std::size_t subvolume_row_base(const Box3& box, const Box3& sub, int y,
                   static_cast<std::size_t>(z - box.lo[2]));
 }
 
-template <typename E>
-void pack_subvolume(const Box3& box, const Box3& sub, const E* box_data,
-                    E* staged) {
-  const std::size_t row = static_cast<std::size_t>(sub.size[0]);
-  std::size_t s = 0;
-  for (int z = sub.lo[2]; z < sub.hi(2); ++z) {
-    for (int y = sub.lo[1]; y < sub.hi(1); ++y) {
-      std::memcpy(staged + s,
-                  box_data + subvolume_row_base<E>(box, sub, y, z),
-                  row * sizeof(E));
-      s += row;
-    }
-  }
-}
-
-// The inverse of pack_subvolume, reading from raw bytes of unknown
-// alignment (an eager envelope, a peer's published staging, or the plan's
-// pinned receive span): row copies addressed in bytes.
-template <typename E>
-void unpack_subvolume(const Box3& box, const Box3& sub, E* box_data,
-                      const std::byte* staged) {
-  const std::size_t row_bytes =
-      static_cast<std::size_t>(sub.size[0]) * sizeof(E);
-  std::size_t s = 0;
-  for (int z = sub.lo[2]; z < sub.hi(2); ++z) {
-    for (int y = sub.lo[1]; y < sub.hi(1); ++y) {
-      std::memcpy(box_data + subvolume_row_base<E>(box, sub, y, z), staged + s,
-                  row_bytes);
-      s += row_bytes;
-    }
-  }
+// The sub-volume `sub` of `box`'s local storage as a run layout: one
+// x-row per run, one z-plane per plane, merged where rows or planes abut.
+osc::RunLayout subvolume_layout(const Box3& box, const Box3& sub) {
+  if (sub.empty()) return {};
+  osc::RunLayout l;
+  l.first = subvolume_row_base(box, sub, sub.lo[1], sub.lo[2]);
+  l.run = static_cast<std::uint64_t>(sub.size[0]);
+  l.runs = static_cast<std::uint64_t>(sub.size[1]);
+  l.run_stride = static_cast<std::uint64_t>(box.size[0]);
+  l.planes = static_cast<std::uint64_t>(sub.size[2]);
+  l.plane_stride = static_cast<std::uint64_t>(box.size[0]) *
+                   static_cast<std::uint64_t>(box.size[1]);
+  return l.merged();
 }
 
 // Copy the sub-volume `sub` straight from one box-local field to another:
@@ -68,9 +48,8 @@ void copy_subvolume(const Box3& from_box, const Box3& to_box, const Box3& sub,
   if (sub.empty()) return;
   if (subvolume_contiguous(from_box, sub) &&
       subvolume_contiguous(to_box, sub)) {
-    std::memcpy(to + subvolume_row_base<E>(to_box, sub, sub.lo[1], sub.lo[2]),
-                from + subvolume_row_base<E>(from_box, sub, sub.lo[1],
-                                             sub.lo[2]),
+    std::memcpy(to + subvolume_row_base(to_box, sub, sub.lo[1], sub.lo[2]),
+                from + subvolume_row_base(from_box, sub, sub.lo[1], sub.lo[2]),
                 static_cast<std::size_t>(sub.count()) * sizeof(E));
     return;
   }
@@ -78,8 +57,8 @@ void copy_subvolume(const Box3& from_box, const Box3& to_box, const Box3& sub,
       static_cast<std::size_t>(sub.size[0]) * sizeof(E);
   for (int z = sub.lo[2]; z < sub.hi(2); ++z) {
     for (int y = sub.lo[1]; y < sub.hi(1); ++y) {
-      std::memcpy(to + subvolume_row_base<E>(to_box, sub, y, z),
-                  from + subvolume_row_base<E>(from_box, sub, y, z),
+      std::memcpy(to + subvolume_row_base(to_box, sub, y, z),
+                  from + subvolume_row_base(from_box, sub, y, z),
                   row_bytes);
     }
   }
@@ -115,69 +94,43 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
   workers_ = resolve_workers(options_.workers);
   LFFT_REQUIRE(options_.batch >= 1, "reshape: batch capacity must be >= 1");
 
-  send_boxes_.resize(p);
-  recv_boxes_.resize(p);
-  send_counts_.resize(p);
-  send_displs_.resize(p);
-  recv_counts_.resize(p);
-  recv_displs_.resize(p);
-
   const Box3& my_in = all_in_[static_cast<std::size_t>(rank_)];
   const Box3& my_out = all_out_[static_cast<std::size_t>(rank_)];
-  // The self-block is copied straight from `in` to `out` by execute(), so
-  // its counts stay zero: transports, codecs and stats only ever see the
-  // bytes that leave this rank.
+  // Each off-rank overlap becomes a message laid out in the field: a send
+  // layout in the inbox, a receive layout in the outbox. The self-block
+  // is copied straight from `in` to `out` by execute(), so its layouts
+  // stay empty: transports, codecs and stats only ever see the bytes that
+  // leave this rank.
   self_box_ = Box3::intersect(my_in, my_out);
+  std::vector<osc::RunLayout> send(p), recv(p);
+  std::uint64_t send_total = 0, recv_total = 0, largest = 0;
   for (std::size_t r = 0; r < p; ++r) {
-    send_boxes_[r] = Box3::intersect(my_in, all_out_[r]);
-    recv_boxes_[r] = Box3::intersect(all_in_[r], my_out);
-    if (static_cast<int>(r) != rank_) {
-      send_counts_[r] = static_cast<std::uint64_t>(send_boxes_[r].count());
-      recv_counts_[r] = static_cast<std::uint64_t>(recv_boxes_[r].count());
-    }
-    send_displs_[r] = send_total_;
-    recv_displs_[r] = recv_total_;
-    send_total_ += send_counts_[r];
-    recv_total_ += recv_counts_[r];
+    if (static_cast<int>(r) == rank_) continue;
+    send[r] = subvolume_layout(my_in, Box3::intersect(my_in, all_out_[r]));
+    recv[r] = subvolume_layout(my_out, Box3::intersect(all_in_[r], my_out));
+    send_total += send[r].count();
+    recv_total += recv[r].count();
+    largest = std::max(largest, send[r].count());
   }
   const auto self_count = static_cast<std::uint64_t>(self_box_.count());
   LFFT_REQUIRE(
-      send_total_ + self_count == static_cast<std::uint64_t>(my_in.count()),
+      send_total + self_count == static_cast<std::uint64_t>(my_in.count()),
       "reshape: output boxes do not tile this rank's inbox");
   LFFT_REQUIRE(
-      recv_total_ + self_count == static_cast<std::uint64_t>(my_out.count()),
+      recv_total + self_count == static_cast<std::uint64_t>(my_out.count()),
       "reshape: input boxes do not tile this rank's outbox");
-  // Pack elision: when every nonzero sub-volume this rank sends off-rank
-  // occupies one contiguous run of the source field, packing is an
-  // identity copy. Rewrite the send displacements to field-linear element
-  // offsets and exchange straight out of `in` — the plan addresses send
-  // data exclusively through (displacement, count) subspans and peers only
-  // learn counts, so the decision is rank-local and results are
-  // byte-identical. The send view then spans the whole field (the
-  // self-block is not sent, so send_total_ falls short of it). Sends that
-  // are not contiguous keep the pack stage.
-  pack_elided_ = true;
-  for (std::size_t r = 0; r < p && pack_elided_; ++r) {
-    if (send_counts_[r] > 0 &&
-        !subvolume_contiguous(my_in, send_boxes_[r])) {
-      pack_elided_ = false;
-    }
-  }
-  if (pack_elided_) {
-    for (std::size_t r = 0; r < p; ++r) {
-      send_displs_[r] =
-          send_counts_[r] > 0
-              ? static_cast<std::uint64_t>(subvolume_row_base<E>(
-                    my_in, send_boxes_[r], send_boxes_[r].lo[1],
-                    send_boxes_[r].lo[2]))
-              : 0;
-    }
-  }
+  // The pack elides when every message this rank sends is one contiguous
+  // run of the source field: the plan then reads every send straight from
+  // `in`, whatever its codec. Rank-local and byte-identical to packing.
+  pack_elided_ = std::all_of(send.begin(), send.end(),
+                             [](const osc::RunLayout& l) {
+                               return l.contiguous();
+                             });
   // When no rank sends anything off-rank (every rank's overlap is its own),
   // there is nothing to plan: no window, no fence, and execute() is the
   // self copy alone. Construction is collective, so one allreduce decides
   // it.
-  if (comm_.allreduce_one(static_cast<std::int64_t>(send_total_),
+  if (comm_.allreduce_one(static_cast<std::int64_t>(send_total),
                           minimpi::ReduceOp::kMax) == 0) {
     return;
   }
@@ -190,12 +143,6 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
     tuner::ExchangeSignature sig;
     sig.p = static_cast<int>(p);
     sig.gpn = options_.gpus_per_node > 0 ? options_.gpus_per_node : 1;
-    std::uint64_t largest = 0;
-    for (std::size_t r = 0; r < p; ++r) {
-      if (static_cast<int>(r) != rank_) {
-        largest = std::max(largest, send_counts_[r]);
-      }
-    }
     sig.pair_bytes = largest * sizeof(E);
     sig.codec = options_.codec;
     tuner::TuneDecision d;
@@ -211,16 +158,6 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
     }
     tuned_ = d;
   }
-  // Pack fan-out clamps against the staging volume: below the
-  // bytes-per-shard floor the memcpy loops run serially on the rank
-  // thread (submit/steal overhead beats the copies there).
-  pack_shards_ =
-      pack_elided_
-          ? 1
-          : WorkerPool::effective_shards(
-                options_.workers,
-                static_cast<std::size_t>(send_total_) * sizeof(E));
-
   // Persistent plan: window + slot offsets + codec staging set up once
   // here (collectively), so execute() is pure data movement. Codec and
   // coded wires carry doubles, so float fields stay uncoded.
@@ -247,17 +184,8 @@ Reshape<E>::Reshape(minimpi::Comm& comm, std::vector<Box3> all_in,
              : (options_.backend == ExchangeBackend::kOsc
                     ? osc::PlanBackend::kOneSided
                     : osc::PlanBackend::kTwoSided);
-  // Batches pack every field bank at once, and a plan that lands its
-  // messages in the pinned receive span (every plan but the uncoded raw
-  // two-sided one) pins every bank (the window replicates per field).
-  const auto banks = static_cast<std::size_t>(options_.batch);
-  if (!pack_elided_) sendbuf_.resize(send_total_ * banks);
-  if (osc::ExchangePlan::needs_recv(backend, oo)) {
-    recvbuf_.resize(recv_total_ * banks);
-  }
-  plan_ = std::make_unique<osc::ExchangePlan>(
-      comm_, backend, send_counts_, send_displs_, recv_counts_, recv_displs_,
-      std::as_writable_bytes(std::span<E>(recvbuf_)), sizeof(E), oo);
+  plan_ = std::make_unique<osc::ExchangePlan>(comm_, backend, send, recv,
+                                              sizeof(E), oo);
 }
 
 template <typename E>
@@ -280,46 +208,12 @@ void Reshape<E>::execute_batch(std::span<const E> in, std::span<E> out,
   LFFT_REQUIRE(out.size() == nf * out_ext,
                "reshape: output must hold `fields` outbox images");
   const Stopwatch watch;
+  // One exchange for the whole batch: the plan moves every off-rank
+  // element from `in` to `out`.
   if (plan_) {
-    const auto p = send_boxes_.size();
-
-    // Pack every field into its staging bank; (field, destination) items
-    // write disjoint slices, so the whole batch fans out at once. An
-    // elided pack skips this wholesale: the exchange reads the field
-    // banks of `in` directly, at bank stride in_ext, with the field-linear
-    // displacements.
-    if (!pack_elided_) {
-      const auto pack_item = [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t k = lo; k < hi; ++k) {
-          const std::size_t f = k / p;
-          const std::size_t r = k % p;
-          if (send_counts_[r] == 0) continue;
-          pack_subvolume(my_in, send_boxes_[r], in.data() + f * in_ext,
-                         sendbuf_.data() + f * send_total_ + send_displs_[r]);
-        }
-      };
-      if (pack_shards_ > 1) {
-        WorkerPool::global().parallel_for(nf * p, 1, pack_item, pack_shards_);
-      } else {
-        pack_item(0, nf * p);
-      }
-    }
-    const std::span<const E> send =
-        pack_elided_ ? in
-                     : std::span<const E>(
-                           sendbuf_.data(),
-                           static_cast<std::size_t>(send_total_) * nf);
-
-    // One exchange for the whole batch; the plan hands each finished
-    // message to the sink, which unpacks its rows into `out`. Sources
-    // write disjoint sub-volumes, so sinks running on pool workers need no
-    // coordination.
-    stats_.accumulate(plan_->execute_batch(
-        std::as_bytes(send), fields,
-        [&](std::size_t s, std::size_t f, std::span<const std::byte> msg) {
-          unpack_subvolume(my_out, recv_boxes_[s], out.data() + f * out_ext,
-                           msg.data());
-        }));
+    stats_.accumulate(plan_->execute_batch(std::as_bytes(in),
+                                           std::as_writable_bytes(out),
+                                           fields));
   }
   for (std::size_t f = 0; f < nf; ++f) {
     copy_subvolume(my_in, my_out, self_box_, in.data() + f * in_ext,

@@ -3,24 +3,27 @@
 // operation the paper compresses.
 //
 // Planning is local: every rank derives the full source and destination box
-// lists from the decomposition functions, intersects them, and packs the
-// overlaps. This rank's own overlap (its self-block, inbox ∩ outbox) never
-// reaches a transport: execute() copies it straight from `in` to `out`, so
-// it is exact under every codec, and the exchange, its codec and its
-// ExchangeStats carry only off-rank bytes — what every MPI alltoallv does
-// locally. A reshape with off-rank traffic runs one osc::ExchangePlan, the
-// compressed all-to-all between its pack and unpack (Algorithm 1 around
-// Algorithm 3), on one of two backends:
+// lists from the decomposition functions and intersects them. This rank's
+// own overlap (its self-block, inbox ∩ outbox) never reaches a transport:
+// execute() copies it straight from `in` to `out`, so it is exact under
+// every codec, and the exchange, its codec and its ExchangeStats carry
+// only off-rank bytes — what every MPI alltoallv does locally. Every
+// off-rank overlap becomes a message laid out in the field
+// (osc::RunLayout: one x-row per run, one z-plane per plane, merged where
+// they abut), and a reshape with off-rank traffic runs one
+// osc::ExchangePlan over those layouts, on one of two backends:
 //   kPairwise — two-sided pairwise rounds (the classical MPI_Alltoallv
 //               baseline), optionally compressed;
 //   kOsc      — the paper's one-sided ring with pipelined compression
 //               (Algorithm 3).
-// The plan hands each finished message to a sink that unpacks its rows
-// into the destination field: straight from the transport's buffer on the
-// uncoded raw two-sided wire, from the plan's pinned receive span
-// (recvbuf_) on every other. A reshape in which no rank sends anything
-// off-rank (bricks whose process grid equals the pencil grid, any 1-rank
-// world) builds no plan and runs no exchange at all.
+// The plan owns every touch of a message's elements — Algorithm 1's pack
+// and unpack around Algorithm 3 — and skips both for a row-addressable
+// codec (codec.hpp), which it encodes straight from `in` and decodes
+// straight into `out`; raw wires and variable-rate codecs stage one pass
+// per side inside the plan, as in the subarray datatypes of Dalcin et al.
+// A reshape in which no rank sends anything off-rank (bricks whose process
+// grid equals the pencil grid, any 1-rank world) builds no plan and runs
+// no exchange at all.
 //
 // The element type E is any trivially-copyable cell: complex<double> for
 // the c2c transform, double for the real stage of the r2c transform, and
@@ -129,15 +132,14 @@ class Reshape {
   /// Redistribute `fields` same-layout fields
   /// (1 <= fields <= options.batch) in one exchange epoch. `in` holds
   /// `fields` consecutive inbox().count()-element images; `out` receives
-  /// the matching outbox().count()-element images. Every field is packed
-  /// into its staging bank (unless the pack elided), the plan exchanges all
-  /// banks in one call (under a single fence / PSCW handshake sequence on
-  /// the one-sided backend), and its sink unpacks each message into `out`
-  /// as it is delivered. Each field's self-block is then copied from `in`
-  /// to `out` (one memcpy when it is contiguous in both boxes, one per
-  /// x-row otherwise). Results are identical to `fields` back-to-back
-  /// execute() calls. Collective, except on a self-only reshape, whose
-  /// execute is that copy alone: no fence, barrier or message.
+  /// the matching outbox().count()-element images. The plan exchanges all
+  /// fields in one call (under a single fence / PSCW handshake sequence on
+  /// the one-sided backend), reading each message from `in` and writing it
+  /// into `out`. Each field's self-block is then copied from `in` to `out`
+  /// (one memcpy when it is contiguous in both boxes, one per x-row
+  /// otherwise). Results are identical to `fields` back-to-back execute()
+  /// calls. Collective, except on a self-only reshape, whose execute is
+  /// that copy alone: no fence, barrier or message.
   void execute_batch(std::span<const E> in, std::span<E> out, int fields);
 
   /// Exchange statistics accumulated over all execute() calls on this
@@ -151,14 +153,13 @@ class Reshape {
     return plan_ ? plan_->source_lag_seconds() : std::span<const double>{};
   }
 
-  /// Resident bytes of this reshape's staging buffers plus its plan's
-  /// pinned footprint — the per-reshape cost a byte-budgeted plan cache
-  /// charges.
+  /// Resident bytes of this reshape's plan — its window, codec slabs and
+  /// the send and receive staging of the messages that stage (none on a
+  /// row-addressable codec), all for options.batch fields — the
+  /// per-reshape cost a byte-budgeted plan cache charges. Zero on a
+  /// self-only reshape.
   std::uint64_t footprint_bytes() const {
-    std::uint64_t b =
-        (sendbuf_.capacity() + recvbuf_.capacity()) * sizeof(E);
-    if (plan_) b += plan_->footprint_bytes();
-    return b;
+    return plan_ ? plan_->footprint_bytes() : 0;
   }
 
   /// The tuner decision applied at construction when osc_sync was kAuto
@@ -170,8 +171,9 @@ class Reshape {
 
   /// True when this rank's pack stage elided: every nonzero sub-volume it
   /// sends off-rank is one contiguous run of the source field, so sends go
-  /// straight from the field and sendbuf_ was never allocated. Rank-local
-  /// and byte-identical to packing.
+  /// straight from the field on every wire (a row-addressable codec reads
+  /// them from the field run by run either way). Rank-local and
+  /// byte-identical to packing.
   bool pack_elided() const { return pack_elided_; }
 
  private:
@@ -181,37 +183,21 @@ class Reshape {
   std::vector<Box3> all_out_;
   ReshapeOptions options_;
 
-  // Precomputed overlap metadata (counts/displs in elements, the units the
-  // plan counts in). All hoisted here so execute() allocates nothing in
-  // steady state. The self entries' counts are zero: the self-block is
-  // self_box_.
+  // The self-block, copied locally by execute(); every other overlap is a
+  // message of plan_.
   Box3 self_box_;
-  std::vector<Box3> send_boxes_, recv_boxes_;
-  std::vector<std::uint64_t> send_counts_, send_displs_;
-  std::vector<std::uint64_t> recv_counts_, recv_displs_;
-  std::uint64_t send_total_ = 0, recv_total_ = 0;
 
   /// Resolved shard count (>= 1) from ReshapeOptions::workers.
   int workers_ = 1;
-  /// Pack fan-out: workers_ clamped by the bytes-per-shard floor
-  /// (WorkerPool::effective_shards) against the send staging total, so
-  /// small reshapes stay serial where fan-out overhead dominates. The
-  /// unpack runs inside the plan's sink, at the plan's own fan-out.
-  int pack_shards_ = 1;
   /// Resolved at construction: every send sub-volume is contiguous in the
-  /// source field, so execute() skips packing and exchanges out of `in`
-  /// via field-linear send displacements (sendbuf_ stays unallocated).
+  /// source field.
   bool pack_elided_ = false;
   /// The tuner's broadcast decision when osc_sync was kAuto (overrides
   /// backend / workers at plan construction).
   std::optional<tuner::TuneDecision> tuned_;
 
-  std::vector<E> sendbuf_, recvbuf_;
   /// Persistent exchange plan of every reshape with off-rank traffic (null
-  /// on a self-only reshape). Pins recvbuf_ when it lands messages there
-  /// (ExchangePlan::needs_recv; recvbuf_ stays empty otherwise), and in raw
-  /// one-sided mode exposes it as the RMA window — declared after recvbuf_
-  /// so the window dies first.
+  /// on a self-only reshape).
   std::unique_ptr<osc::ExchangePlan> plan_;
   osc::ExchangeStats stats_;
 };

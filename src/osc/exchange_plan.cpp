@@ -61,8 +61,136 @@ std::span<const double> as_doubles(std::span<const std::byte> b) {
   return {reinterpret_cast<const double*>(b.data()),
           b.size() / sizeof(double)};
 }
-std::span<double> as_doubles(std::span<std::byte> b) {
-  return {reinterpret_cast<double*>(b.data()), b.size() / sizeof(double)};
+
+// The direct path's gather block: runs shorter than kShortRun values pass
+// through it instead of paying a codec call each, and so does every codec
+// group that straddles two runs. It holds kBlock values (a whole number
+// of groups), so codecs with granularity above kBlock stage instead.
+constexpr std::uint64_t kShortRun = 64;
+constexpr std::size_t kBlock = 256;
+
+std::vector<RunLayout> one_runs(std::span<const std::uint64_t> counts,
+                                std::span<const std::uint64_t> displs) {
+  LFFT_REQUIRE(counts.size() == displs.size(),
+               "alltoallv: counts/displs must have comm.size() entries");
+  std::vector<RunLayout> v(counts.size());
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    v[i] = RunLayout::one_run(displs[i], counts[i]);
+  }
+  return v;
+}
+
+// The run walker: call f(element, length) for each stretch of consecutive
+// elements that message elements [off, off + cnt) of layout `l` occupy,
+// in message order. Pack, unpack, direct encode and direct decode all go
+// through here.
+template <typename F>
+void walk_runs(const RunLayout& l, std::uint64_t off, std::uint64_t cnt,
+               F&& f) {
+  if (cnt == 0) return;
+  const std::uint64_t plane_elems = l.run * l.runs;
+  std::uint64_t plane = off / plane_elems;
+  std::uint64_t row = off % plane_elems / l.run;
+  std::uint64_t skip = off % l.run;
+  while (cnt > 0) {
+    const std::uint64_t len = std::min(l.run - skip, cnt);
+    f(l.first + plane * l.plane_stride + row * l.run_stride + skip, len);
+    cnt -= len;
+    skip = 0;
+    if (++row == l.runs) {
+      row = 0;
+      ++plane;
+    }
+  }
+}
+
+// Direct encode of a row-addressable codec (granularity g): elements
+// [off, off + cnt) of the message laid out as `l` in `field` become the
+// chunk's stream at `out`, exactly the bytes compressing them consecutively
+// writes. A long, group-aligned stretch encodes in place at byte
+// max_compressed_bytes(pos) of the stream; short runs and the group that
+// straddles into the next run gather in the block first. The chunk's tail
+// may be a short group.
+std::size_t encode_runs(const Codec& c, std::size_t g, const double* field,
+                        const RunLayout& l, std::uint64_t off,
+                        std::uint64_t cnt, std::byte* out) {
+  std::array<double, kBlock> block;
+  const std::uint64_t cap = kBlock / g * g;
+  const std::uint64_t longest = std::max<std::uint64_t>(kShortRun, g);
+  std::uint64_t pos = 0;   // Chunk elements encoded; a group start.
+  std::uint64_t have = 0;  // Values gathered in the block.
+  const auto put = [&](const double* v, std::uint64_t n) {
+    const std::size_t at = c.max_compressed_bytes(pos);
+    c.compress(std::span<const double>(v, n),
+               std::span<std::byte>(out + at,
+                                    c.max_compressed_bytes(pos + n) - at));
+    pos += n;
+  };
+  walk_runs(l, off, cnt, [&](std::uint64_t at, std::uint64_t len) {
+    const double* src = field + at;
+    while (len > 0) {
+      if (have == 0 && len >= longest) {
+        const std::uint64_t n = pos + len == cnt ? len : len / g * g;
+        put(src, n);
+        src += n;
+        len -= n;
+        continue;
+      }
+      const std::uint64_t take = std::min(len, cap - have);
+      std::copy_n(src, take, block.data() + have);
+      have += take;
+      src += take;
+      len -= take;
+      if (have == cap) {
+        put(block.data(), cap);
+        have = 0;
+      }
+    }
+  });
+  if (have > 0) put(block.data(), have);
+  return c.max_compressed_bytes(cnt);
+}
+
+// Direct decode, the inverse of encode_runs: the chunk's stream `in`
+// becomes elements [off, off + cnt) of the message laid out as `l` in
+// `field`. Each decode is handed the rest of the chunk's bytes (vector
+// unpacks read ahead within them); a short run, or one that starts a
+// group straddling into the next run, decodes a block of values ahead
+// from its group's offset and copies them out run by run.
+void decode_runs(const Codec& c, std::size_t g, std::span<const std::byte> in,
+                 const RunLayout& l, std::uint64_t off, std::uint64_t cnt,
+                 double* field) {
+  std::array<double, kBlock> block;
+  const std::uint64_t cap = kBlock / g * g;
+  const std::uint64_t longest = std::max<std::uint64_t>(kShortRun, g);
+  std::uint64_t pos = 0;   // Chunk elements placed.
+  std::uint64_t bbeg = 0;  // The block holds elements [bbeg, bend).
+  std::uint64_t bend = 0;
+  const auto get = [&](double* v, std::uint64_t n) {
+    c.decompress(in.subspan(c.max_compressed_bytes(pos)),
+                 std::span<double>(v, n));
+  };
+  walk_runs(l, off, cnt, [&](std::uint64_t at, std::uint64_t len) {
+    double* dst = field + at;
+    while (len > 0) {
+      std::uint64_t n = 0;
+      if (pos < bend) {
+        n = std::min(len, bend - pos);
+        std::copy_n(block.data() + (pos - bbeg), n, dst);
+      } else if (len >= longest) {
+        n = pos + len == cnt ? len : len / g * g;
+        get(dst, n);
+      } else {
+        bbeg = pos;
+        bend = std::min(pos + cap, cnt);
+        get(block.data(), bend - bbeg);
+        continue;
+      }
+      pos += n;
+      dst += n;
+      len -= n;
+    }
+  });
 }
 
 // Monotonic stamp for the arrival-skew counters. Only differences within
@@ -75,10 +203,32 @@ double now_seconds() {
 
 }  // namespace
 
-bool ExchangePlan::needs_recv(PlanBackend backend, const OscOptions& options) {
-  return backend == PlanBackend::kOneSided || options.codec != nullptr ||
-         options.parity > 0 || options.fault_plan != nullptr;
+RunLayout RunLayout::merged() const {
+  RunLayout l = *this;
+  if (l.count() == 0) return l;
+  if (l.runs == 1 || l.run_stride == l.run) {
+    l.run *= l.runs;
+    l.runs = 1;
+    l.run_stride = l.run;
+  }
+  if (l.runs > 1 && l.planes > 1 && l.plane_stride == l.runs * l.run_stride) {
+    l.runs *= l.planes;
+    l.planes = 1;
+    l.plane_stride = l.runs * l.run_stride;
+  }
+  if (l.runs == 1 && (l.planes == 1 || l.plane_stride == l.run)) {
+    l.run *= l.planes;
+    l.planes = 1;
+    l.run_stride = l.plane_stride = l.run;
+  }
+  return l;
 }
+
+ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
+                           std::span<const RunLayout> send,
+                           std::span<const RunLayout> recv,
+                           std::size_t elem_bytes, const OscOptions& options)
+    : ExchangePlan(comm, backend, send, recv, {}, elem_bytes, options) {}
 
 ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
                            std::span<const std::uint64_t> sendcounts,
@@ -87,24 +237,27 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
                            std::span<const std::uint64_t> recvdispls,
                            std::span<std::byte> recv, std::size_t elem_bytes,
                            const OscOptions& options)
+    : ExchangePlan(comm, backend, one_runs(sendcounts, senddispls),
+                   one_runs(recvcounts, recvdispls), recv, elem_bytes,
+                   options) {}
+
+ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
+                           std::span<const RunLayout> send,
+                           std::span<const RunLayout> recv,
+                           std::span<std::byte> pinned, std::size_t elem_bytes,
+                           const OscOptions& options)
     : comm_(comm),
       options_(options),
       backend_(backend),
       raw_(options.codec == nullptr),
       codec_(options.codec ? options.codec
                            : std::make_shared<const IdentityCodec>()),
-      p_(comm.size()),
-      recv_pinned_(recv),
-      sendcounts_(sendcounts.begin(), sendcounts.end()),
-      senddispls_(senddispls.begin(), senddispls.end()),
-      recvcounts_(recvcounts.begin(), recvcounts.end()),
-      recvdispls_(recvdispls.begin(), recvdispls.end()) {
+      p_(comm.size()) {
   LFFT_REQUIRE(options_.sync != OscSync::kAuto,
                "ExchangePlan: OscSync::kAuto must be resolved (tuner) "
                "before plan construction");
   const auto p = static_cast<std::size_t>(p_);
-  LFFT_REQUIRE(sendcounts.size() == p && senddispls.size() == p &&
-                   recvcounts.size() == p && recvdispls.size() == p,
+  LFFT_REQUIRE(send.size() == p && recv.size() == p,
                "alltoallv: counts/displs must have comm.size() entries");
   fixed_ = codec_->fixed_size();
   // Coded mode: parity frames and/or a fault plan force the framed,
@@ -132,9 +285,8 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
                "kMaxDataChunks pipeline chunks per message");
   batch_ = options_.batch;
   LFFT_REQUIRE(batch_ >= 1, "ExchangePlan: batch capacity must be >= 1");
-  LFFT_REQUIRE(recv.size() % static_cast<std::size_t>(batch_) == 0,
+  LFFT_REQUIRE(pinned.size() % static_cast<std::size_t>(batch_) == 0,
                "ExchangePlan: pinned recv must hold `batch` equal fields");
-  recv_extent_ = recv.size() / static_cast<std::size_t>(batch_);
 
   // Count in wire units: a raw wire moves the caller's elements whole,
   // codec and coded wires see them as doubles.
@@ -142,10 +294,61 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
                "ExchangePlan: codec and coded wires carry double-based "
                "elements");
   unit_ = raw_ ? elem_bytes : sizeof(double);
-  if (const std::uint64_t per = elem_bytes / unit_; per > 1) {
-    for (auto* v : {&sendcounts_, &senddispls_, &recvcounts_, &recvdispls_}) {
-      for (std::uint64_t& c : *v) c *= per;
+  const std::uint64_t per = elem_bytes / unit_;
+  granularity_ = codec_->parallel_granularity();
+  direct_ = !raw_ && row_addressable(*codec_) && granularity_ <= kBlock;
+  const auto in_units = [per](RunLayout l) {
+    l.first *= per;
+    l.run *= per;
+    l.run_stride *= per;
+    l.plane_stride *= per;
+    return l.merged();
+  };
+  send_layout_.resize(p);
+  recv_layout_.resize(p);
+  sendcounts_.resize(p);
+  recvcounts_.resize(p);
+  for (std::size_t i = 0; i < p; ++i) {
+    send_layout_[i] = in_units(send[i]);
+    recv_layout_[i] = in_units(recv[i]);
+    sendcounts_[i] = send_layout_[i].count();
+    recvcounts_[i] = recv_layout_[i].count();
+    send_need_ = std::max(send_need_, send_layout_[i].extent() * unit_);
+    recv_need_ = std::max(recv_need_, recv_layout_[i].extent() * unit_);
+  }
+
+  // Staging, one bank per field, for the messages that stage: a raw or
+  // staged-codec send of more than one run is packed; a raw one-sided
+  // receive lands in the window, a staged-codec receive of more than one
+  // run decodes into staging. The sugar's pinned span is the raw window.
+  sstage_off_.assign(p, kNoStage);
+  rstage_off_.assign(p, kNoStage);
+  const bool raw_window = raw_ && backend_ == PlanBackend::kOneSided;
+  for (std::size_t i = 0; i < p; ++i) {
+    if (!direct_ && !send_layout_[i].contiguous()) {
+      sstage_off_[i] = sbank_;
+      sbank_ += sendcounts_[i] * unit_;
     }
+  }
+  sstage_.resize(sbank_ * static_cast<std::size_t>(batch_));
+  if (raw_window && !pinned.empty()) {
+    rbank_ = pinned.size() / static_cast<std::size_t>(batch_);
+    LFFT_REQUIRE(recv_need_ <= rbank_,
+                 "ExchangePlan: pinned recv too small for its layouts");
+    for (std::size_t i = 0; i < p; ++i) {
+      rstage_off_[i] = recv_layout_[i].first * unit_;
+    }
+    rstage_span_ = pinned;
+  } else {
+    for (std::size_t i = 0; i < p; ++i) {
+      if (raw_window ||
+          (!raw_ && !direct_ && !recv_layout_[i].contiguous())) {
+        rstage_off_[i] = rbank_;
+        rbank_ += recvcounts_[i] * unit_;
+      }
+    }
+    rstage_.resize(rbank_ * static_cast<std::size_t>(batch_));
+    rstage_span_ = rstage_;
   }
 
   // Arrival-skew scratch (pre-sized: stamping allocates nothing).
@@ -156,6 +359,9 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   for (const std::uint64_t c : sendcounts_) payload += c;
   workers_ = WorkerPool::effective_shards(
       options_.workers, static_cast<std::size_t>(payload) * unit_);
+  // Pack fan-out clamps against the staged volume: below the
+  // bytes-per-shard floor the copies run serially on the rank thread.
+  pack_shards_ = WorkerPool::effective_shards(options_.workers, sbank_);
 
   // Per-message chunk count: user value, or the Section V-B pipeline
   // model's pick for that message size. A variable-rate message is one
@@ -213,7 +419,7 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   // --- One-sided plan: window layout, offsets, schedule -------------------
   // The window holds one slot per source at capacity offsets, so the whole
   // layout is count-derived and survives every epoch; raw mode exposes the
-  // pinned receive buffer itself and slots are the final recvdispls. Codec
+  // receive staging itself and slots are its offsets. Codec
   // slots carry an 8-aligned u64 header word ahead of the payload — the
   // size + completion word put_with_header/put_header release-store.
   slot_offset_.resize(p);
@@ -221,7 +427,7 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   std::uint64_t window_bytes = 0;
   for (std::size_t i = 0; i < p; ++i) {
     if (raw_) {
-      slot_offset_[i] = recvdispls_[i] * unit_;
+      slot_offset_[i] = rstage_off_[i];
       continue;
     }
     // Codec slot: the header word, then the message's chunks at their
@@ -268,7 +474,7 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
   // (their own capacities), so senders learn each target's stride with one
   // more construction-time u64 all-to-all — steady state stays
   // collective-free.
-  bank_stride_ = raw_ ? recv_extent_ : window_bytes;
+  bank_stride_ = raw_ ? rbank_ : window_bytes;
   if (batch_ > 1) {
     const std::vector<std::uint64_t> mine(p, bank_stride_);
     target_bank_stride_.resize(p);
@@ -280,7 +486,7 @@ ExchangePlan::ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
 
   window_store_.resize(window_bytes * static_cast<std::size_t>(batch_));
   win_ = std::make_unique<minimpi::Window>(
-      comm_, raw_ ? recv_pinned_ : std::span<std::byte>(window_store_));
+      comm_, raw_ ? rstage_span_ : std::span<std::byte>(window_store_));
   if (coded_) win_->set_fault_plan(options_.fault_plan);
 
   rounds_ = ring_targets(p_, options_.gpus_per_node, comm_.rank());
@@ -375,38 +581,33 @@ ExchangeStats ExchangePlan::execute(std::span<const double> send,
 
 ExchangeStats ExchangePlan::execute_batch(std::span<const double> send,
                                           std::span<double> recv, int fields) {
-  LFFT_REQUIRE(std::as_bytes(recv).data() == recv_pinned_.data() &&
-                   recv.size_bytes() ==
-                       recv_extent_ * static_cast<std::size_t>(fields),
-               "ExchangePlan::execute_batch: recv must be the leading "
-               "`fields` banks of the pinned span");
-  // `recv` is the pinned span, so only a message delivered from the
-  // transport's buffer needs the copy.
-  return execute_batch(
-      std::as_bytes(send), fields,
-      [this](std::size_t s, std::size_t f, std::span<const std::byte> m) {
-        const std::span<std::byte> at = recv_message(s, f);
-        if (m.data() != at.data()) std::memcpy(at.data(), m.data(), m.size());
-      });
+  return execute_batch(std::as_bytes(send), std::as_writable_bytes(recv),
+                       fields);
 }
 
 ExchangeStats ExchangePlan::execute_batch(std::span<const std::byte> send,
-                                          int fields, Sink sink, void* ctx) {
+                                          std::span<std::byte> recv,
+                                          int fields) {
   LFFT_REQUIRE(fields >= 1 && fields <= batch_,
                "ExchangePlan::execute_batch: fields must be in [1, batch]");
-  LFFT_REQUIRE(send.size() % static_cast<std::size_t>(fields) == 0,
-               "ExchangePlan::execute_batch: send must hold `fields` equal "
-               "field images");
-  sink_ = sink;
-  sink_ctx_ = ctx;
+  const auto nf = static_cast<std::size_t>(fields);
+  LFFT_REQUIRE(send.size() % nf == 0 && recv.size() % nf == 0,
+               "ExchangePlan::execute_batch: send and recv must hold "
+               "`fields` equal field images");
+  LFFT_REQUIRE(send.size() / nf >= send_need_ && recv.size() / nf >= recv_need_,
+               "ExchangePlan::execute_batch: a field image is too small for "
+               "its layouts");
+  recv_cur_ = recv.data();
+  recv_cur_ext_ = recv.size() / nf;
+  pack(send, nf);
   if (backend_ == PlanBackend::kOneSided) {
     return execute_one_sided(send, fields);
   }
   // Two-sided transports are message-paced (no epoch to amortize), so the
   // batch is a plain per-field loop sharing this plan's staging.
-  const std::size_t sext = send.size() / static_cast<std::size_t>(fields);
+  const std::size_t sext = send.size() / nf;
   ExchangeStats stats;
-  for (std::size_t f = 0; f < static_cast<std::size_t>(fields); ++f) {
+  for (std::size_t f = 0; f < nf; ++f) {
     const ExchangeStats one =
         execute_two_sided(send.subspan(f * sext, sext), f);
     const int schedule_rounds = one.rounds;
@@ -418,10 +619,89 @@ ExchangeStats ExchangePlan::execute_batch(std::span<const std::byte> send,
   return stats;
 }
 
-std::span<std::byte> ExchangePlan::recv_message(std::size_t s,
-                                                std::size_t f) const {
-  return recv_pinned_.subspan(f * recv_extent_ + recvdispls_[s] * unit_,
-                              recvcounts_[s] * unit_);
+void ExchangePlan::pack(std::span<const std::byte> send, std::size_t nf) {
+  if (sbank_ == 0) return;
+  const auto p = static_cast<std::size_t>(p_);
+  const std::size_t sext = send.size() / nf;
+  // (field, destination) items write disjoint staging, so the whole batch
+  // fans out at once.
+  const auto item = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t k = lo; k < hi; ++k) {
+      const std::size_t f = k / p;
+      const std::size_t d = k % p;
+      if (sstage_off_[d] == kNoStage) continue;
+      const std::byte* const fsend = send.data() + f * sext;
+      std::byte* to = sstage_.data() + f * sbank_ + sstage_off_[d];
+      walk_runs(send_layout_[d], 0, sendcounts_[d],
+                [&](std::uint64_t at, std::uint64_t len) {
+                  std::memcpy(to, fsend + at * unit_, len * unit_);
+                  to += len * unit_;
+                });
+    }
+  };
+  if (pack_shards_ > 1) {
+    WorkerPool::global().parallel_for(nf * p, 1, item, pack_shards_);
+  } else {
+    item(0, nf * p);
+  }
+}
+
+std::span<const std::byte> ExchangePlan::send_message(
+    std::span<const std::byte> fsend, std::size_t d, std::size_t f) const {
+  const std::uint64_t bytes = sendcounts_[d] * unit_;
+  if (sstage_off_[d] != kNoStage) {
+    return {sstage_.data() + f * sbank_ + sstage_off_[d], bytes};
+  }
+  return fsend.subspan(send_layout_[d].first * unit_, bytes);
+}
+
+std::size_t ExchangePlan::encode_chunk(std::span<const std::byte> fsend,
+                                       std::size_t d, std::size_t f,
+                                       std::uint64_t off, std::uint64_t cnt,
+                                       std::span<std::byte> out) const {
+  if (!direct_) {
+    return codec_->compress(
+        as_doubles(send_message(fsend, d, f)).subspan(off, cnt), out);
+  }
+  LFFT_ASSERT(out.size() >= codec_->max_compressed_bytes(cnt));
+  return encode_runs(*codec_, granularity_,
+                     reinterpret_cast<const double*>(fsend.data()),
+                     send_layout_[d], off, cnt, out.data());
+}
+
+std::byte* ExchangePlan::recv_target(std::size_t s, std::size_t f) const {
+  if (rstage_off_[s] != kNoStage) {
+    return rstage_span_.data() + f * rbank_ + rstage_off_[s];
+  }
+  return recv_field(f) + recv_layout_[s].first * unit_;
+}
+
+void ExchangePlan::decode_chunk(std::size_t s, std::size_t f,
+                                std::uint64_t off, std::uint64_t cnt,
+                                std::span<const std::byte> in) const {
+  if (direct_) {
+    decode_runs(*codec_, granularity_, in, recv_layout_[s], off, cnt,
+                reinterpret_cast<double*>(recv_field(f)));
+    return;
+  }
+  codec_->decompress(
+      in, std::span<double>(reinterpret_cast<double*>(recv_target(s, f)) + off,
+                            cnt));
+}
+
+void ExchangePlan::unpack(std::size_t s, std::size_t f,
+                          const std::byte* msg) const {
+  std::byte* const frecv = recv_field(f);
+  const RunLayout& l = recv_layout_[s];
+  if (l.contiguous() && msg == frecv + l.first * unit_) return;
+  walk_runs(l, 0, recvcounts_[s], [&](std::uint64_t at, std::uint64_t len) {
+    std::memcpy(frecv + at * unit_, msg, len * unit_);
+    msg += len * unit_;
+  });
+}
+
+void ExchangePlan::finish_source(std::size_t s, std::size_t f) const {
+  if (rstage_off_[s] != kNoStage) unpack(s, f, recv_target(s, f));
 }
 
 ExchangeStats ExchangePlan::execute_one_sided(std::span<const std::byte> send,
@@ -455,8 +735,8 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const std::byte> send,
 
   // --- Epoch open ---------------------------------------------------------
   // The opening fence keeps this epoch's puts out of buffers the target is
-  // still writing locally: a slower rank draining epoch N-1's decode, or —
-  // raw mode, where the window aliases the caller's receive span — the
+  // still reading or writing locally: a slower rank draining epoch N-1's
+  // decode or unpack, or — raw mode over the sugar's pinned span — the
   // caller initializing recv between plan construction and execute. The
   // first epoch needs it as much as any other (the constructor's window
   // barrier does not cover caller-side writes issued after it). PSCW needs
@@ -482,11 +762,11 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const std::byte> send,
   const std::uint64_t job_pay = coded_ ? minimpi::kHeaderWordBytes : 0;
   // Encode one data chunk into its staging; returns the encoded size.
   const auto compress_job = [&](const PlanChunk& job,
-                                std::span<const std::byte> fsend) {
-    const std::size_t used = codec_->compress(
-        as_doubles(fsend).subspan(
-            senddispls_[static_cast<std::size_t>(job.peer)] + job.elem_off,
-            job.elem_cnt),
+                                std::span<const std::byte> fsend,
+                                std::size_t f) {
+    const std::size_t used = encode_chunk(
+        fsend, static_cast<std::size_t>(job.peer), f, job.elem_off,
+        job.elem_cnt,
         std::span<std::byte>(stage_.data() + job.stage_off + job_pay,
                              job.wire_bytes));
     // Fixed-size codecs are exact.
@@ -517,9 +797,8 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const std::byte> send,
         for (std::size_t i = 0; i < jobs.size(); ++i) {
           if (jobs[i].prow >= 0) continue;
           inflight_.push_back(WorkerPool::global().submit(
-              [&compress_job, &job = jobs[i], out = &job_bytes_[i], fsend] {
-                *out = compress_job(job, fsend);
-              }));
+              [&compress_job, &job = jobs[i], out = &job_bytes_[i], fsend,
+               f] { *out = compress_job(job, fsend, f); }));
         }
       }
       std::size_t next_job = 0;
@@ -535,9 +814,9 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const std::byte> send,
         if (count == 0) continue;
         ++stats.messages;
         if (raw_) {
-          // One direct store from the send payload into the peer's receive
-          // buffer: the only copy this exchange makes for the message.
-          win_->put(fsend.subspan(senddispls_[d] * unit_, count * unit_), dst,
+          // One direct store from the send payload (the field, or its
+          // packed staging) into the peer's receive staging.
+          win_->put(send_message(fsend, d, f), dst,
                     target_offset_[d] + bank_off(d, f));
           stats.wire_bytes += count * unit_;
           ++stats.chunks_issued;
@@ -555,7 +834,7 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const std::byte> send,
               inflight_[next_inflight++].get();  // Rethrows a failed
                                                  // chunk's error.
             } else {
-              job_bytes_[next_job] = compress_job(job, fsend);
+              job_bytes_[next_job] = compress_job(job, fsend, f);
             }
             bytes = job_bytes_[next_job];
           }
@@ -681,14 +960,13 @@ ExchangeStats ExchangePlan::execute_one_sided(std::span<const std::byte> send,
 
 void ExchangePlan::decode_source(std::size_t s, std::uint16_t seq,
                                  std::size_t f) {
-  const std::span<std::byte> msg = recv_message(s, f);
   if (coded_) {
     // Coded failures are real runtime conditions (lost beyond the parity
     // budget), not sync bugs: capture the Error and let the collective
     // protocol finish — aborting mid-ring would deadlock the peers —
     // then execute rethrows it.
     try {
-      decode_source_coded(s, seq, f, as_doubles(msg));
+      decode_source_coded(s, seq, f);
     } catch (...) {
       std::lock_guard lk(decode_error_mu_);
       if (!decode_error_) decode_error_ = std::current_exception();
@@ -711,19 +989,18 @@ void ExchangePlan::decode_source(std::size_t s, std::uint16_t seq,
     const auto [begin, end] = unpack_range_[s];
     for (std::size_t i = begin; i < end; ++i) {
       const PlanChunk& job = unpack_jobs_[i];
-      codec_->decompress(
-          std::span<const std::byte>(
-              window_store_.data() + bank + job.stage_off,
-              end - begin == 1 ? wire : job.wire_bytes),
-          as_doubles(msg).subspan(job.elem_off, job.elem_cnt));
+      decode_chunk(s, f, job.elem_off, job.elem_cnt,
+                   std::span<const std::byte>(
+                       window_store_.data() + bank + job.stage_off,
+                       end - begin == 1 ? wire : job.wire_bytes));
     }
   }
-  // A raw slot is the message itself: the puts landed it in place.
-  sink_(sink_ctx_, s, f, msg);
+  // A raw slot is the message itself, as the puts landed it.
+  finish_source(s, f);
 }
 
 void ExchangePlan::decode_source_coded(std::size_t s, std::uint16_t seq,
-                                       std::size_t f, std::span<double> out) {
+                                       std::size_t f) {
   const std::uint64_t bank = f * bank_stride_;
   const auto [begin, end] = unpack_range_[s];
   const std::size_t k = end - begin;
@@ -847,8 +1124,8 @@ void ExchangePlan::decode_source_coded(std::size_t s, std::uint16_t seq,
         clean[i] ? nbytes[i] : (fixed_ ? job.wire_bytes : pbytes[0]);
     const std::byte* const src =
         clean[i] ? w + job.stage_off : solved_for[i].data();
-    codec_->decompress(std::span<const std::byte>(src, b),
-                       out.subspan(job.elem_off, job.elem_cnt));
+    decode_chunk(s, f, job.elem_off, job.elem_cnt,
+                 std::span<const std::byte>(src, b));
   }
 }
 
@@ -868,8 +1145,8 @@ ExchangeStats ExchangePlan::execute_two_sided(std::span<const std::byte> send,
   // recv_consume (straight out of the sender's buffer). One codec pass per
   // direction, no intermediate wire buffers — the two-sided compressed
   // path at the one-sided raw path's copy count. A raw message is an isend
-  // of the send span itself, handed to the sink inside recv_consume, so at
-  // rendezvous sizes its only copy is the sink's. Peers agree on which
+  // of its consecutive send bytes, unpacked inside recv_consume, so at
+  // rendezvous sizes its only copy is the unpack. Peers agree on which
   // pairs exchange because count knowledge is symmetric.
   //
   // On the coded wire every message travels as one
@@ -902,25 +1179,23 @@ ExchangeStats ExchangePlan::execute_two_sided(std::span<const std::byte> send,
 
   // Self message: a local codec round trip with no transport and no faults
   // (kept — the exchange must stay byte-identical to the one-sided paths,
-  // lossiness included); raw mode delivers the send span itself. It counts
-  // as one chunk and stamps its arrival on every wire.
+  // lossiness included); raw mode unpacks the send bytes themselves. It
+  // counts as one chunk and stamps its arrival on every wire.
   const auto m = static_cast<std::size_t>(me);
   if (sendcounts_[m] > 0) {
-    std::span<const std::byte> msg =
-        send.subspan(senddispls_[m] * unit_, sendcounts_[m] * unit_);
-    std::uint64_t wire = msg.size();
-    if (!raw_) {
+    std::uint64_t wire = sendcounts_[m] * unit_;
+    if (raw_) {
+      unpack(m, f, send_message(send, m, f).data());
+    } else {
       std::byte* const staging = stage_.data() + stage_off_[m] + spad;
-      wire = codec_->compress(
-          as_doubles(msg), std::span<std::byte>(staging, send_wire_cap_[m]));
-      const std::span<std::byte> dst = recv_message(m, f);
-      codec_->decompress(std::span<const std::byte>(staging, wire),
-                         as_doubles(dst));
-      msg = dst;
+      wire = encode_chunk(send, m, f, 0, sendcounts_[m],
+                          std::span<std::byte>(staging, send_wire_cap_[m]));
+      decode_chunk(m, f, 0, recvcounts_[m],
+                   std::span<const std::byte>(staging, wire));
+      finish_source(m, f);
     }
     stats.wire_bytes += wire;
     ++stats.chunks_issued;
-    sink_(sink_ctx_, m, f, msg);
     if (recvcounts_[m] > 0) arrival_time_[m] = now_seconds();
   }
 
@@ -932,9 +1207,8 @@ ExchangeStats ExchangePlan::execute_two_sided(std::span<const std::byte> send,
     std::array<minimpi::Comm::Request, coded::kMaxParity> preq;
     bool sent = false;
     if (sendcounts_[dst] > 0) {
-      const std::span<const std::byte> block =
-          send.subspan(senddispls_[dst] * unit_, sendcounts_[dst] * unit_);
       if (raw_) {
+        const std::span<const std::byte> block = send_message(send, dst, f);
         req = comm_.isend(block, static_cast<int>(dst), kFusedTag);
         stats.wire_bytes += block.size();
       } else if (fixed_ && !coded_) {
@@ -948,7 +1222,7 @@ ExchangeStats ExchangePlan::execute_two_sided(std::span<const std::byte> send,
               // packing; the message still travels at cap size (decoders
               // read only what they need).
               const std::size_t used =
-                  codec_->compress(as_doubles(block), out);
+                  encode_chunk(send, dst, f, 0, sendcounts_[dst], out);
               LFFT_ASSERT(used <= out.size());
             });
         stats.wire_bytes += send_wire_cap_[dst];
@@ -960,10 +1234,9 @@ ExchangeStats ExchangePlan::execute_two_sided(std::span<const std::byte> send,
         // replicas must not inherit it. Each replica send is an
         // independent fault-injection target.
         std::byte* const fr = stage_.data() + stage_off_[dst];
-        const std::size_t used =
-            codec_->compress(as_doubles(block),
-                             std::span<std::byte>(fr + spad,
-                                                  send_wire_cap_[dst]));
+        const std::size_t used = encode_chunk(
+            send, dst, f, 0, sendcounts_[dst],
+            std::span<std::byte>(fr + spad, send_wire_cap_[dst]));
         const std::span<const std::byte> frame(fr, spad + used);
         if (coded_) {
           const std::uint64_t h = make_slot_header(seq, used);
@@ -995,10 +1268,10 @@ ExchangeStats ExchangePlan::execute_two_sided(std::span<const std::byte> send,
     }
     if (recvcounts_[src] > 0) {
       // The first clean frame of the message is delivered (an uncoded
-      // message is its one frame): a raw one straight from the transport's
-      // buffer, a codec one after decoding it into the pinned span. Later
-      // frames are drained and discarded — the pairwise protocol consumes
-      // them regardless.
+      // message is its one frame): a raw one unpacked straight from the
+      // transport's buffer, a codec one decoded from it. Later frames are
+      // drained and discarded — the pairwise protocol consumes them
+      // regardless.
       bool done = false;
       auto consume = [&](std::span<const std::byte> wire) {
         if (done) return;
@@ -1006,16 +1279,14 @@ ExchangeStats ExchangePlan::execute_two_sided(std::span<const std::byte> send,
           if (!clean_frame(wire, seq, recv_wire_cap_[src])) return;
           wire = wire.subspan(coded::kFrameBytes);
         }
-        std::span<const std::byte> msg = wire;
         if (raw_) {
           LFFT_REQUIRE(wire.size() == recvcounts_[src] * unit_,
                        "ExchangePlan: raw payload size mismatch");
+          unpack(src, f, wire.data());
         } else {
-          const std::span<std::byte> dst = recv_message(src, f);
-          codec_->decompress(wire, as_doubles(dst));
-          msg = dst;
+          decode_chunk(src, f, 0, recvcounts_[src], wire);
+          finish_source(src, f);
         }
-        sink_(sink_ctx_, src, f, msg);
         done = true;
       };
       comm_.recv_consume(static_cast<int>(src), kFusedTag, consume);
@@ -1079,11 +1350,13 @@ void ExchangePlan::finish_skew_epoch(ExchangeStats& stats) {
 std::uint64_t ExchangePlan::footprint_bytes() const {
   std::uint64_t b = 0;
   b += window_store_.capacity();
+  b += sstage_.capacity();
+  b += rstage_.capacity();
   b += stage_.capacity();
   b += rec_scratch_.capacity();
   b += pstage_.capacity();
-  b += (sendcounts_.capacity() + senddispls_.capacity() +
-        recvcounts_.capacity() + recvdispls_.capacity() +
+  b += (sendcounts_.capacity() + sstage_off_.capacity() +
+        recvcounts_.capacity() + rstage_off_.capacity() +
         send_wire_cap_.capacity() + recv_wire_cap_.capacity() +
         job_bytes_.capacity() + stage_off_.capacity() +
         slot_offset_.capacity() + target_offset_.capacity() +
@@ -1091,6 +1364,8 @@ std::uint64_t ExchangePlan::footprint_bytes() const {
         coded_L_.capacity() + rec_off_.capacity()) *
        sizeof(std::uint64_t);
   b += (arrival_time_.capacity() + source_lag_.capacity()) * sizeof(double);
+  b += (send_layout_.capacity() + recv_layout_.capacity()) *
+       sizeof(RunLayout);
   b += unpack_jobs_.capacity() * sizeof(PlanChunk);
   for (const auto& jobs : round_jobs_) b += jobs.capacity() * sizeof(PlanChunk);
   return b;

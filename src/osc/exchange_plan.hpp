@@ -51,22 +51,35 @@
 // one-sided raw path. Raw messages publish the send span itself; the coded
 // wire frames each message and sends its parity replicas on their own tags.
 //
-// Delivery: every transport hands each finished (source, field) message to
-// one caller-supplied sink, exactly once, as the message's bytes in the
-// caller's element layout. A one-sided slot, raw or codec, fence or PSCW,
-// is delivered by decode_source from the pinned receive span (raw slots
-// land there directly; codec slots are decoded there first); a two-sided
-// message by the pairwise loop's receive, straight from the transport's
-// buffer when the wire is raw and uncoded, from the pinned span after the
-// decode otherwise. So every plan but the uncoded raw two-sided one lands
-// its messages in the pinned span (needs_recv()). Reshape's sink unpacks
-// the rows into the destination field; execute(send, recv)'s default sink
-// copies a message into `recv` only when it is not already there.
+// Layouts: the caller describes every message as a RunLayout, a subarray
+// of its field image (Dalcin et al.'s MPI subarray datatype): `planes`
+// planes of `runs` runs of `run` consecutive elements. The plan, not its
+// caller, touches every element of a message, through one run walker that
+// serves pack, unpack, direct encode and direct decode. A row-addressable
+// codec (codec.hpp) goes direct on every path: each chunk is encoded run
+// by run straight from the send field and decoded run by run straight
+// into the receive field. Runs shorter than 64 values, and every codec
+// group that straddles two runs, pass through a 256-value gather block on
+// the stack, so short runs do not pay a codec call each. Every other
+// message stages one pass per side through the same walker:
 //
-// Elements: counts and displacements are in elements of the caller's
-// width. A raw wire moves any trivially-copyable element as bytes; codec
-// and coded wires view the elements as doubles, so their width must be a
-// multiple of sizeof(double).
+//  * a raw wire packs a message whose send layout is more than one run,
+//    and a raw one-sided plan lands every message in its receive staging
+//    (the RMA window) and unpacks it from there; the uncoded raw
+//    two-sided wire unpacks straight from the transport's buffer;
+//  * a variable-rate codec (and scaled fp16) packs a multi-run send
+//    layout before its encode, and decodes a multi-run receive layout into
+//    staging before the unpack.
+//
+// So a plan pins send and receive staging only for the messages that
+// stage. The (counts, displs) constructors are one-run sugar; their
+// pinned `recv` span is the raw one-sided window, so execute(send, recv)
+// with that span lands messages in place.
+//
+// Elements: layouts (and counts and displacements) are in elements of the
+// caller's width. A raw wire moves any trivially-copyable element as
+// bytes; codec and coded wires view the elements as doubles, so their
+// width must be a multiple of sizeof(double).
 //
 // Construction, execution, and destruction of a one-sided plan are
 // collective over the communicator (window lifecycle + offset exchange):
@@ -80,7 +93,6 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "minimpi/comm.hpp"
@@ -95,20 +107,58 @@ enum class PlanBackend {
   kTwoSided,  // Pairwise two-sided exchange, codec fused into the transport.
 };
 
+/// Where one message's elements sit in a field image: `planes` planes,
+/// `plane_stride` elements apart, of `runs` runs, `run_stride` elements
+/// apart, of `run` consecutive elements each, the first run starting at
+/// element `first`. Elements are taken run by run, plane by plane. A
+/// (displacement, count) message is one run.
+struct RunLayout {
+  std::uint64_t first = 0;
+  std::uint64_t run = 0;
+  std::uint64_t runs = 1;
+  std::uint64_t run_stride = 0;
+  std::uint64_t planes = 1;
+  std::uint64_t plane_stride = 0;
+
+  static RunLayout one_run(std::uint64_t displ, std::uint64_t count) {
+    return {displ, count, 1, count, 1, count};
+  }
+
+  std::uint64_t count() const { return run * runs * planes; }
+  /// One past the last element the layout touches (0 when empty).
+  std::uint64_t extent() const {
+    return count() == 0 ? 0
+                        : first + (planes - 1) * plane_stride +
+                              (runs - 1) * run_stride + run;
+  }
+  /// The same elements with abutting runs merged: rows whose stride is
+  /// the run length become one run, then planes that abut become one
+  /// plane. A layout whose elements are consecutive ends as one run.
+  RunLayout merged() const;
+  /// True when the layout is one run (or empty); a merged() layout is
+  /// one run exactly when its elements are consecutive.
+  bool contiguous() const { return count() == 0 || runs * planes == 1; }
+};
+
 class ExchangePlan {
  public:
-  /// The delivery sink: receives source `source`'s message of field
-  /// `field`, recvcounts[source] elements in the caller's layout. Called
-  /// once per non-empty (source, field) message, on the rank thread or a
-  /// pool worker; distinct messages may be delivered concurrently.
-  using Sink = void (*)(void* ctx, std::size_t source, std::size_t field,
-                        std::span<const std::byte> message);
-
   /// Collective for kOneSided (offset all-to-all + window creation).
-  /// Counts/displs are in elements of `elem_bytes` bytes and are copied;
+  /// `send[d]` places the message for rank d in a send field image,
+  /// `recv[s]` the message from rank s in a receive field image, both in
+  /// elements of `elem_bytes` bytes; the layouts are copied. The plan pins
+  /// staging only for the messages that stage (see the header comment),
+  /// each for options.batch field banks.
+  ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
+               std::span<const RunLayout> send,
+               std::span<const RunLayout> recv, std::size_t elem_bytes,
+               const OscOptions& options);
+
+  /// One-run sugar: message d is senddispls[d], sendcounts[d] of the send
+  /// image, message s recvdispls[s], recvcounts[s] of the receive image.
   /// `recv` is pinned for the plan's lifetime and holds options.batch
-  /// field banks (raw one-sided mode exposes it as the RMA window). A plan
-  /// for which needs_recv() is false never touches it, so it may be empty.
+  /// field images; a raw one-sided plan exposes it as the RMA window, so
+  /// its puts land in place. Every other plan leaves it alone, and it may
+  /// be empty.
   ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
                std::span<const std::uint64_t> sendcounts,
                std::span<const std::uint64_t> senddispls,
@@ -134,43 +184,23 @@ class ExchangePlan {
   ExchangePlan(const ExchangePlan&) = delete;
   ExchangePlan& operator=(const ExchangePlan&) = delete;
 
-  /// Whether a plan of this backend and options lands its messages in the
-  /// pinned receive span: every plan but the uncoded raw two-sided one,
-  /// which delivers straight from the transport's buffer.
-  static bool needs_recv(PlanBackend backend, const OscOptions& options);
-
-  /// Run the exchange: execute_batch() with one field. Collective; `recv`
-  /// must be the first pinned field (the whole pinned span when
-  /// options.batch == 1).
+  /// Run the exchange: execute_batch() with one field. Collective.
   ExchangeStats execute(std::span<const double> send, std::span<double> recv);
 
-  /// execute_batch() with the default sink, which copies each message into
-  /// `recv` unless it already sits there. `recv` must be the pinned
-  /// span's leading `fields` banks. Collective.
+  /// execute_batch() over double fields.
   ExchangeStats execute_batch(std::span<const double> send,
                               std::span<double> recv, int fields);
 
   /// Exchange `fields` same-layout fields (1 <= fields <= options.batch)
-  /// in one synchronization epoch, handing every finished message to
-  /// `sink`: the one-sided path opens the epoch once, issues every field's
-  /// puts per ring round, and closes each round once — fences and PSCW
-  /// handshakes are paid per *batch*, not per field. `send` holds `fields`
-  /// consecutive field images. Collective; delivered bytes are identical
-  /// to `fields` back-to-back single-field calls.
-  ExchangeStats execute_batch(std::span<const std::byte> send, int fields,
-                              Sink sink, void* ctx);
-  template <typename F>
-  ExchangeStats execute_batch(std::span<const std::byte> send, int fields,
-                              F&& sink) {
-    return execute_batch(
-        send, fields,
-        [](void* c, std::size_t source, std::size_t field,
-           std::span<const std::byte> message) {
-          (*static_cast<std::remove_reference_t<F>*>(c))(source, field,
-                                                         message);
-        },
-        static_cast<void*>(std::addressof(sink)));
-  }
+  /// in one synchronization epoch: the one-sided path opens the epoch
+  /// once, issues every field's puts per ring round, and closes each round
+  /// once — fences and PSCW handshakes are paid per *batch*, not per
+  /// field. `send` and `recv` hold `fields` consecutive field images each,
+  /// every image large enough for its layouts; only the layouts' elements
+  /// of `recv` are written. Collective; the result is identical to
+  /// `fields` back-to-back single-field calls.
+  ExchangeStats execute_batch(std::span<const std::byte> send,
+                              std::span<std::byte> recv, int fields);
 
   PlanBackend backend() const { return backend_; }
   const OscOptions& options() const { return options_; }
@@ -185,9 +215,11 @@ class ExchangePlan {
   /// collective; the span stays valid for the plan's lifetime.
   std::span<const double> source_lag_seconds() const { return source_lag_; }
 
-  /// Resident bytes of this plan's pinned buffers (window, staging slabs,
-  /// reconstruction scratch). The honest per-plan cost a byte-budgeted
-  /// plan cache (serve::PlanCache) charges its LRU accounting with.
+  /// Resident bytes of this plan's pinned buffers (window, send and
+  /// receive staging, codec slabs, reconstruction scratch). The honest
+  /// per-plan cost a byte-budgeted plan cache (serve::PlanCache) charges
+  /// its LRU accounting with. A pinned span passed by the caller is the
+  /// caller's and is not counted.
   std::uint64_t footprint_bytes() const;
 
  private:
@@ -211,31 +243,66 @@ class ExchangePlan {
     int prow = -1;
   };
 
+  // Sentinel staging offset: the message does not stage on this side.
+  static constexpr std::uint64_t kNoStage = ~std::uint64_t{0};
+
+  // The constructors' body; `pinned` is the sugar's receive span.
+  ExchangePlan(minimpi::Comm& comm, PlanBackend backend,
+               std::span<const RunLayout> send,
+               std::span<const RunLayout> recv, std::span<std::byte> pinned,
+               std::size_t elem_bytes, const OscOptions& options);
+
   ExchangeStats execute_one_sided(std::span<const std::byte> send,
                                   int fields);
   ExchangeStats execute_two_sided(std::span<const std::byte> send,
                                   std::size_t f);
 
-  /// Source `s`'s message of field `f` in the pinned receive span.
-  std::span<std::byte> recv_message(std::size_t s, std::size_t f) const;
+  /// Pack every staged (field, destination) send message of the batch,
+  /// fanned out over the pool.
+  void pack(std::span<const std::byte> send, std::size_t fields);
+  /// Destination d's message of field image `fsend` as consecutive bytes:
+  /// its packed staging bank `f`, or the one run of `fsend` it occupies.
+  std::span<const std::byte> send_message(std::span<const std::byte> fsend,
+                                          std::size_t d, std::size_t f) const;
+  /// Encode elements [off, off + cnt) of destination d's message into
+  /// `out` (a chunk's capacity); returns the encoded size.
+  std::size_t encode_chunk(std::span<const std::byte> fsend, std::size_t d,
+                           std::size_t f, std::uint64_t off,
+                           std::uint64_t cnt, std::span<std::byte> out) const;
+
+  /// Field f's receive image of the current execute.
+  std::byte* recv_field(std::size_t f) const {
+    return recv_cur_ + f * recv_cur_ext_;
+  }
+  /// Where source s's message of field f lands as consecutive bytes: its
+  /// receive staging, or the one run of the receive image it occupies.
+  std::byte* recv_target(std::size_t s, std::size_t f) const;
+  /// Decode elements [off, off + cnt) of source s's message of field f
+  /// from `in` (the chunk's stream).
+  void decode_chunk(std::size_t s, std::size_t f, std::uint64_t off,
+                    std::uint64_t cnt, std::span<const std::byte> in) const;
+  /// Unpack source s's message of field f from the consecutive bytes at
+  /// `msg` into the receive image (nothing when it already sits there).
+  void unpack(std::size_t s, std::size_t f, const std::byte* msg) const;
+  /// Finish source s's message of field f: unpack it from receive staging
+  /// when it staged.
+  void finish_source(std::size_t s, std::size_t f) const;
 
   /// Deliver source `s`'s slot in field bank `f`: a raw slot as it landed,
   /// a codec slot after verifying its header's epoch sequence (the
-  /// put-with-notify flag) matches `seq` and decoding it into the pinned
-  /// receive span. Runs on the rank thread or a pool worker; (source,
-  /// field) pairs touch disjoint window and recv regions, so deliveries
-  /// need no coordination.
+  /// put-with-notify flag) matches `seq` and decoding it. Runs on the rank
+  /// thread or a pool worker; (source, field) pairs touch disjoint window,
+  /// staging and receive regions, so deliveries need no coordination.
   void decode_source(std::size_t s, std::uint16_t seq, std::size_t f);
 
-  /// Coded decode of source `s` into `out`: scan the slot's data+parity
-  /// frame headers and checksums, reconstruct ≤ m erasures from any k
-  /// clean arrivals (Window::flush_delayed as the waiting fallback),
-  /// re-validate the recovered chunk against the parity headers, decode.
-  /// An unrecoverable group (> m erasures) raises a loud Error — captured
+  /// Coded decode of source `s`: scan the slot's data+parity frame
+  /// headers and checksums, reconstruct ≤ m erasures from any k clean
+  /// arrivals (Window::flush_delayed as the waiting fallback), re-validate
+  /// the recovered chunk against the parity headers, decode. An
+  /// unrecoverable group (> m erasures) raises a loud Error — captured
   /// into `decode_error_` by decode_source so the collective protocol
   /// finishes before execute rethrows it.
-  void decode_source_coded(std::size_t s, std::uint16_t seq, std::size_t f,
-                           std::span<double> out);
+  void decode_source_coded(std::size_t s, std::uint16_t seq, std::size_t f);
 
   /// Rethrow (and clear) a decode error deferred by decode_source. Called
   /// once per execute after every decode has been reaped.
@@ -244,28 +311,43 @@ class ExchangePlan {
   minimpi::Comm& comm_;
   OscOptions options_;
   PlanBackend backend_;
-  bool raw_ = false;    // No codec: direct byte exchange.
-  bool fixed_ = false;  // Codec wire sizes are count-derived.
-  bool coded_ = false;  // Framed + checksummed wire, parity_ RS chunks.
-  int parity_ = 0;      // m parity frames per (source → target) group.
+  bool raw_ = false;     // No codec: direct byte exchange.
+  bool fixed_ = false;   // Codec wire sizes are count-derived.
+  bool direct_ = false;  // Row-addressable codec: no pack, no unpack.
+  bool coded_ = false;   // Framed + checksummed wire, parity_ RS chunks.
+  int parity_ = 0;       // m parity frames per (source → target) group.
   CodecPtr codec_;
+  std::size_t granularity_ = 0;  // codec_->parallel_granularity().
   int p_ = 0;
   int workers_ = 1;
-  int batch_ = 1;  // Field capacity (options.batch).
+  int pack_shards_ = 1;  // Pack fan-out (WorkerPool::effective_shards).
+  int batch_ = 1;        // Field capacity (options.batch).
   // Bytes per counted unit: the caller's element on a raw wire, a double
-  // on codec and coded wires (counts are scaled to doubles there).
+  // on codec and coded wires (layouts are scaled to doubles there).
   std::size_t unit_ = sizeof(double);
-  // The current execute's delivery sink.
-  Sink sink_ = nullptr;
-  void* sink_ctx_ = nullptr;
 
-  std::span<std::byte> recv_pinned_;
-  // Per-field extent of the pinned receive span, in bytes
-  // (recv_pinned_.size() / batch_): bank f of recv starts at
-  // f * recv_extent_.
-  std::uint64_t recv_extent_ = 0;
-  std::vector<std::uint64_t> sendcounts_, senddispls_;
-  std::vector<std::uint64_t> recvcounts_, recvdispls_;
+  // Message layouts in units, and their element counts.
+  std::vector<RunLayout> send_layout_, recv_layout_;
+  std::vector<std::uint64_t> sendcounts_, recvcounts_;
+  // Bytes one field image must span to hold every layout.
+  std::uint64_t send_need_ = 0, recv_need_ = 0;
+  // The current execute's receive images (field f at f * recv_cur_ext_).
+  std::byte* recv_cur_ = nullptr;
+  std::size_t recv_cur_ext_ = 0;
+
+  // Send staging: staged message d of field f sits at
+  // f * sbank_ + sstage_off_[d] (kNoStage = sent from the field).
+  std::vector<std::byte> sstage_;
+  std::vector<std::uint64_t> sstage_off_;
+  std::uint64_t sbank_ = 0;
+  // Receive staging: staged message s of field f sits at
+  // f * rbank_ + rstage_off_[s] of rstage_span_, which is the caller's
+  // pinned span (one-run sugar, raw one-sided) or rstage_.
+  std::vector<std::byte> rstage_;
+  std::span<std::byte> rstage_span_;
+  std::vector<std::uint64_t> rstage_off_;
+  std::uint64_t rbank_ = 0;
+
   // Wire capacities: the sum of each message's chunk capacities (exact
   // when fixed_).
   std::vector<std::uint64_t> send_wire_cap_, recv_wire_cap_;
@@ -274,13 +356,13 @@ class ExchangePlan {
 
   // One-sided state. Codec-mode slot_offset_[i] points at source i's header
   // word; the payload follows at +kHeaderWordBytes (raw mode exposes the
-  // receive buffer itself — no headers, slots are the final recvdispls).
+  // receive staging itself — no headers, slots are its offsets).
   // All offsets are field-bank-0 values: field f adds f * bank_stride_
   // locally and f * target_bank_stride_[peer] on the target.
   std::vector<std::uint64_t> slot_offset_, target_offset_;
   std::uint64_t bank_stride_ = 0;  // Local per-field window bytes.
   std::vector<std::uint64_t> target_bank_stride_;  // Peers' bank strides.
-  std::vector<std::byte> window_store_;  // Codec modes; raw exposes recv.
+  std::vector<std::byte> window_store_;  // Codec modes; raw exposes staging.
   std::unique_ptr<minimpi::Window> win_;
   std::uint64_t epoch_seq_ = 0;  // Stamped into slot headers each execute.
   std::vector<std::vector<int>> rounds_;        // ring_targets schedule.
@@ -329,7 +411,7 @@ class ExchangePlan {
   std::uint64_t pstage_stride_ = 0;
   // Resilience counters for the current execute (decodes may run on pool
   // workers) and the deferred decode error (first failure wins; the
-  // collective protocol finishes before execute rethrows).
+  // collective protocol finishes before execute rethrows it).
   std::atomic<std::uint64_t> reconstructed_{0};
   std::atomic<std::uint64_t> straggler_waits_{0};
   std::mutex decode_error_mu_;

@@ -52,11 +52,11 @@ struct OscOptions {
   /// every setting.
   int workers = 1;
   /// Batch capacity of the plan (>= 1): how many same-layout fields one
-  /// execute_batch() may exchange per synchronization epoch. The pinned
-  /// receive span at construction holds `batch` consecutive fields; the
-  /// window is laid out in per-field banks, so a batch pays the fence /
-  /// PSCW handshake cost once instead of once per field. 1 (default)
-  /// keeps the single-field footprint.
+  /// execute_batch() may exchange per synchronization epoch. Staging
+  /// (and a one-run plan's pinned receive span) holds `batch` consecutive
+  /// fields; the window is laid out in per-field banks, so a batch pays
+  /// the fence / PSCW handshake cost once instead of once per field. 1
+  /// (default) keeps the single-field footprint.
   int batch = 1;
   /// Erasure-coded exchange: number of parity chunks per (source → target)
   /// message group (0 = uncoded). With m > 0 every message's k pipeline

@@ -93,6 +93,9 @@ ReshapeCost price_reshape(const DecompSignature& sig, const Stage& A,
   const int p = sig.p;
   const int gpn = sig.gpn;
   const bool raw = !sig.codec;
+  // A row-addressable codec encodes from the source field and decodes into
+  // the destination field: no pack, no unpack.
+  const bool direct = !raw && row_addressable(*sig.codec);
   const double rate = std::max(1e-9, sig.rate());
 
   std::vector<double> send_bytes(static_cast<std::size_t>(p), 0.0);
@@ -181,8 +184,9 @@ ReshapeCost price_reshape(const DecompSignature& sig, const Stage& A,
     const std::size_t ur = static_cast<std::size_t>(r);
     max_send = std::max(max_send, send_bytes[ur]);
     max_recv = std::max(max_recv, recv_bytes[ur]);
-    const double pack = elide[ur] ? 0.0 : send_bytes[ur];
-    max_copy = std::max(max_copy, pack + recv_bytes[ur] + self_bytes[ur]);
+    const double pack = direct || elide[ur] ? 0.0 : send_bytes[ur];
+    const double unpack = direct ? 0.0 : recv_bytes[ur];
+    max_copy = std::max(max_copy, pack + unpack + self_bytes[ur]);
     if (elide[ur] && send_bytes[ur] > 0.0) ++rc.elided_ranks;
   }
   if (!raw) {

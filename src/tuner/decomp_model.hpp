@@ -13,12 +13,15 @@
 // netsim contention model. On top of the network term each reshape pays
 //   * codec encode/decode of the off-rank bytes at the busiest rank
 //     (calibrated throughputs),
-//   * pack/unpack staging copies of the off-rank bytes — with the pack
-//     term *dropped* for every rank whose off-rank send boxes are
-//     contiguous in its source field (subvolume_contiguous), exactly when
-//     Reshape elides packing — plus one copy of each rank's self-block,
-//     which never reaches the wire (a reshape with no off-rank traffic
-//     pays that copy alone: no network or synchronization term),
+//   * pack/unpack staging copies of the off-rank bytes — none for a
+//     row-addressable codec (codec.hpp), which the exchange encodes from
+//     and decodes into the fields directly; for raw and variable-rate
+//     wires the pack term is *dropped* for every rank whose off-rank send
+//     boxes are contiguous in its source field (subvolume_contiguous),
+//     exactly when Reshape elides packing — plus one copy of each rank's
+//     self-block, which never reaches the wire (a reshape with no
+//     off-rank traffic pays that copy alone: no network or
+//     synchronization term),
 // and each compute stage pays max-local-elements x 5 log2(n_dir) flops at
 // CostConstants::fft_flops, so slab pipelines and oversubscribed grids
 // are charged for their idle ranks.

@@ -88,8 +88,10 @@ class Tuner {
   /// Version 8 invalidated rows calibrated before the avx512 BitTrim
   /// kernels moved to byte permutes (4-5x faster at generic widths).
   /// Version 9 dropped the staged two-sided path (its path token 3 no
-  /// longer parses) and the avx512 zfpx kernels.
-  static constexpr int kCacheVersion = 9;
+  /// longer parses) and the avx512 zfpx kernels. Version 10 stopped
+  /// charging row-addressable codecs a pack and an unpack copy in the
+  /// cached decomposition rows.
+  static constexpr int kCacheVersion = 10;
 
  private:
   std::string key(const ExchangeSignature& sig) const;

@@ -148,52 +148,8 @@ std::vector<CodecCase> codec_cases(Xoshiro256& rng) {
   return cs;
 }
 
-// Deliver a batch of two copies of the layout's send field through a
-// counting sink, twice (plan reuse): every non-empty (source, field) message
-// must arrive exactly once, carrying the reference's bytes. A plan that
-// does not land messages in a pinned span gets none.
-void check_sink(Comm& comm, PlanBackend backend, const OscOptions& options,
-                std::uint64_t seed, bool self_only, const FuzzLayout& ref,
-                const std::string& where) {
-  const int p = comm.size();
-  auto l = make_fuzz_layout(seed, p, comm.rank(), self_only);
-  OscOptions o = options;
-  o.batch = 2;
-  std::vector<double> recv(
-      ExchangePlan::needs_recv(backend, o) ? 2 * l.recv.size() : 0);
-  ExchangePlan plan(comm, backend, l.sc, l.sd, l.rc, l.rd,
-                    std::as_writable_bytes(std::span<double>(recv)),
-                    sizeof(double), o);
-  std::vector<double> send(l.send);
-  send.insert(send.end(), l.send.begin(), l.send.end());
-  const auto n = static_cast<std::size_t>(2 * p);
-  for (int it = 0; it < 2; ++it) {
-    // Sinks may run on pool workers, so the tallies are atomic.
-    std::vector<std::atomic<int>> seen(n), bad(n);
-    plan.execute_batch(
-        std::as_bytes(std::span<const double>(send)), 2,
-        [&](std::size_t s, std::size_t f, std::span<const std::byte> m) {
-          const std::size_t k = f * static_cast<std::size_t>(p) + s;
-          seen[k].fetch_add(1);
-          if (m.size() != ref.rc[s] * sizeof(double) ||
-              std::memcmp(m.data(), ref.recv.data() + ref.rd[s],
-                          m.size()) != 0) {
-            bad[k].fetch_add(1);
-          }
-        });
-    for (std::size_t k = 0; k < n; ++k) {
-      const std::size_t s = k % static_cast<std::size_t>(p);
-      EXPECT_EQ(seen[k].load(), ref.rc[s] > 0 ? 1 : 0)
-          << where << " src=" << s << " field=" << k / p << " it=" << it;
-      EXPECT_EQ(bad[k].load(), 0)
-          << where << " src=" << s << " field=" << k / p << " it=" << it;
-    }
-  }
-}
-
 // Run one (layout, codec) configuration through every path twice (plan
-// reuse) and demand bitwise identity against the naive reference, then
-// once more through a counting sink.
+// reuse) and demand bitwise identity against the naive reference.
 void check_conformance(Comm& comm, std::uint64_t seed, bool self_only,
                        int gpn, const CodecCase& cc) {
   const int p = comm.size();
@@ -240,8 +196,6 @@ void check_conformance(Comm& comm, std::uint64_t seed, bool self_only,
         }
       }
     }
-    check_sink(comm, ps.backend, o, seed, self_only, ref,
-               std::string("sink path=") + ps.name + " codec=" + cc.name);
   }
 
   // Exactness oracle for the non-lossy classes: the reference itself must
@@ -304,6 +258,212 @@ TEST_P(ExchangeFuzz, AllPathsBitwiseAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, ExchangeFuzz, ::testing::Values(2, 3, 4, 8),
+                         [](const auto& info) {
+                           return "p" + std::to_string(info.param);
+                         });
+
+// --- Layout axis ------------------------------------------------------------
+// Every path sends from and receives into strided RunLayouts with canary
+// gaps: each message is `planes` planes of `runs` runs, with the sender
+// and the receiver cutting the same count into different runs, so codec
+// groups straddle runs on both sides. Row-addressable codecs encode and
+// decode run by run: runs under 64 values through the plan's gather
+// block, longer ones (merged rows, single-run cuts) in place; the rest
+// stage through the plan's run walker. Each element must equal naive_exchange run on the packed values,
+// and no gap element may change.
+
+constexpr double kCanary = -12345.0;
+
+// Message (s -> d)'s run shape, drawn from a seed every rank shares: run
+// lengths 1..13 (mostly not multiples of any codec granularity), so both
+// sides agree on the count; `recv` picks the receiver's cut of it.
+RunLayout message_shape(std::uint64_t seed, int s, int d, bool recv) {
+  Xoshiro256 rng(seed ^ (static_cast<std::uint64_t>(s) * 7368787 +
+                         static_cast<std::uint64_t>(d) * 2750159 + 3));
+  if (rng.uniform() < 0.25) return {};
+  const auto a = static_cast<std::uint64_t>(rng.uniform(1.0, 14.0));
+  const auto b = static_cast<std::uint64_t>(rng.uniform(1.0, 7.0));
+  const auto k = static_cast<std::uint64_t>(rng.uniform(1.0, 4.0));
+  const auto cut = static_cast<int>(rng.uniform(0.0, 4.0));
+  RunLayout l;
+  l.run = a;
+  l.runs = b;
+  l.planes = k;
+  if (recv && cut == 1) l = {0, a * b, k, 0, 1, 0};
+  if (recv && cut == 2) l = {0, b, a, 0, k, 0};
+  if (recv && cut == 3) l = {0, a * b * k, 1, 0, 1, 0};
+  return l;
+}
+
+// One rank's side of the layout axis: a layout per peer, placed with
+// random gaps (zero gaps let rows and planes merge), and the field extent.
+struct StridedSide {
+  std::vector<RunLayout> lay;
+  std::uint64_t extent = 0;
+};
+
+StridedSide make_strided_side(std::uint64_t seed, int p, int me, bool recv) {
+  Xoshiro256 gaps(seed ^ (static_cast<std::uint64_t>(me) * 31 + (recv ? 7 : 1)));
+  StridedSide side;
+  side.lay.resize(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) {
+    RunLayout l = recv ? message_shape(seed, r, me, true)
+                       : message_shape(seed, me, r, false);
+    if (l.count() == 0) continue;
+    l.first = side.extent + static_cast<std::uint64_t>(gaps.uniform(0.0, 4.0));
+    l.run_stride = l.run + static_cast<std::uint64_t>(gaps.uniform(0.0, 4.0));
+    l.plane_stride = l.runs * l.run_stride +
+                     static_cast<std::uint64_t>(gaps.uniform(0.0, 6.0));
+    side.extent = l.extent();
+    side.lay[static_cast<std::size_t>(r)] = l;
+  }
+  side.extent += 3;  // Trailing canaries.
+  return side;
+}
+
+// The test's own element walk (independent of the plan's): element k of
+// layout `l` sits at field index at(l, k).
+std::uint64_t at(const RunLayout& l, std::uint64_t k) {
+  const std::uint64_t plane = k / (l.run * l.runs);
+  const std::uint64_t row = k / l.run % l.runs;
+  return l.first + plane * l.plane_stride + row * l.run_stride + k % l.run;
+}
+
+void check_layout_axis(Comm& comm, std::uint64_t seed) {
+  const int p = comm.size();
+  const int me = comm.rank();
+  const auto up = static_cast<std::size_t>(p);
+  const StridedSide snd = make_strided_side(seed, p, me, false);
+  const StridedSide rcv = make_strided_side(seed, p, me, true);
+  constexpr int kFields = 2;
+
+  // Send images: every message's values in message order, canaries in
+  // the gaps; packed copies (displacements = prefix sums) feed the oracle.
+  std::vector<double> send(kFields * snd.extent, kCanary);
+  std::vector<std::vector<double>> packed(kFields);
+  std::vector<std::uint64_t> sc(up), sd(up), rc(up), rd(up);
+  std::uint64_t st = 0, rt = 0;
+  for (std::size_t r = 0; r < up; ++r) {
+    sc[r] = snd.lay[r].count();
+    rc[r] = rcv.lay[r].count();
+    sd[r] = st;
+    rd[r] = rt;
+    st += sc[r];
+    rt += rc[r];
+  }
+  for (int f = 0; f < kFields; ++f) {
+    auto& pk = packed[static_cast<std::size_t>(f)];
+    pk.resize(st);
+    for (std::size_t d = 0; d < up; ++d) {
+      fill_block(seed + static_cast<std::uint64_t>(f) * 977, me,
+                 static_cast<int>(d),
+                 std::span<double>(pk).subspan(sd[d], sc[d]));
+      for (std::uint64_t k = 0; k < sc[d]; ++k) {
+        send[f * snd.extent + at(snd.lay[d], k)] = pk[sd[d] + k];
+      }
+    }
+  }
+
+  const std::vector<CodecCase> codecs = {
+      {"raw", nullptr},
+      {"fp32", std::make_shared<CastFp32Codec>()},
+      {"fp16", std::make_shared<CastFp16Codec>(false)},
+      {"fp16-scaled", std::make_shared<CastFp16Codec>(true)},
+      {"bf16", std::make_shared<CastBf16Codec>()},
+      {"bittrim(7)", std::make_shared<BitTrimCodec>(7)},
+      {"bittrim(19)", std::make_shared<BitTrimCodec>(19)},
+      {"bittrim(40)", std::make_shared<BitTrimCodec>(40)},
+      {"zfpx(20bpv)", std::make_shared<Zfpx1dCodec>(20)},
+      {"szq", std::make_shared<SzqCodec>(1e-7)},
+      {"lossless", std::make_shared<ByteplaneRleCodec>()},
+  };
+  // Explicit chunk counts {3, 5, 7}: chunk_partition rounds chunks to
+  // multiples of 4, so BitTrim sees chunk offsets that are 4 mod 8.
+  const int chunks = 3 + 2 * static_cast<int>(seed % 3);
+  bool odd_group_offset = false;
+  for (int s = 0; s < p; ++s) {
+    for (int d = 0; d < p; ++d) {
+      const std::uint64_t c = message_shape(seed, s, d, false).count();
+      const auto part = chunk_partition(c, chunks);
+      odd_group_offset |= part.size() > 1 && part[0] % 8 == 4;
+    }
+  }
+  if (p >= 3) {
+    EXPECT_TRUE(odd_group_offset) << "seed=" << seed << " chunks=" << chunks;
+  }
+
+  for (const CodecCase& cc : codecs) {
+    // Oracle: the packed values through the naive exchange, scattered
+    // into canary-filled receive images through the test's own walk.
+    std::vector<double> expect(kFields * rcv.extent, kCanary);
+    std::uint64_t encoded = 0;
+    for (int f = 0; f < kFields; ++f) {
+      std::vector<double> got(rt);
+      encoded += naive_exchange(comm, cc.codec,
+                                packed[static_cast<std::size_t>(f)], sc, sd,
+                                got, rc, rd);
+      for (std::size_t s = 0; s < up; ++s) {
+        for (std::uint64_t k = 0; k < rc[s]; ++k) {
+          expect[f * rcv.extent + at(rcv.lay[s], k)] = got[rd[s] + k];
+        }
+      }
+    }
+    const bool whole = !cc.codec || !cc.codec->fixed_size();
+    for (const PathSpec& ps : kPaths) {
+      for (const int parity : {0, 1}) {
+        OscOptions o;
+        o.codec = cc.codec;
+        o.gpus_per_node = 2;
+        o.chunks = chunks;
+        o.sync = ps.sync;
+        o.workers = ps.workers;
+        o.parity = parity;
+        o.batch = kFields;
+        ExchangePlan plan(comm, ps.backend, snd.lay, rcv.lay, sizeof(double),
+                          o);
+        std::vector<double> recv(kFields * rcv.extent);
+        for (int it = 0; it < 2; ++it) {
+          std::fill(recv.begin(), recv.end(), kCanary);
+          const ExchangeStats stats = plan.execute_batch(
+              std::span<const double>(send), std::span<double>(recv),
+              kFields);
+          if (whole && parity == 0) {
+            EXPECT_EQ(stats.wire_bytes, encoded) << ps.name << " " << cc.name;
+          }
+          // EXPECT (not ASSERT): collective lockstep, see above.
+          int reported = 0;
+          for (std::size_t i = 0; i < expect.size() && reported < 5; ++i) {
+            if (std::memcmp(&recv[i], &expect[i], sizeof(double)) != 0) {
+              ++reported;
+              EXPECT_EQ(recv[i], expect[i])
+                  << "layout path=" << ps.name << " codec=" << cc.name
+                  << " parity=" << parity << " p=" << p << " seed=" << seed
+                  << " chunks=" << chunks << " it=" << it << " field="
+                  << i / rcv.extent << " i=" << i % rcv.extent
+                  << (expect[i] == kCanary ? " (gap)" : "");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+class ExchangeFuzzLayout : public ::testing::TestWithParam<int> {};
+
+TEST_P(ExchangeFuzzLayout, StridedLayoutsMatchPackedOracleAndKeepGaps) {
+  const int p = GetParam();
+  run_ranks(p, [&](Comm& comm) {
+    for (std::uint64_t v = 0; v < 2; ++v) {
+      check_layout_axis(comm, fuzz_seed() + static_cast<std::uint64_t>(p) *
+                                                 4099 +
+                                  v * 53);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, ExchangeFuzzLayout, ::testing::Values(2, 3, 4),
                          [](const auto& info) {
                            return "p" + std::to_string(info.param);
                          });

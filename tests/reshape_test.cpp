@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <string>
 #include <type_traits>
@@ -694,6 +695,178 @@ TEST(Reshape, PackElisionBatchedSelfBlockFirstMatchesPerFieldExecute) {
         ASSERT_EQ(std::memcmp(&bout[i], &fout[i], sizeof(bout[i])), 0)
             << (o.codec ? o.codec->name() : "raw") << " " << i;
       }
+    }
+  });
+}
+
+// --- Direct path: row-addressable codecs skip pack and unpack --------------
+
+struct DirectTransport {
+  ExchangeBackend backend;
+  osc::OscSync sync;
+  const char* name;
+};
+constexpr DirectTransport kDirectTransports[] = {
+    {ExchangeBackend::kPairwise, osc::OscSync::kFence, "pairwise"},
+    {ExchangeBackend::kOsc, osc::OscSync::kFence, "osc-fence"},
+    {ExchangeBackend::kOsc, osc::OscSync::kPscw, "osc-pscw"}};
+
+// One reshape of the direct-path oracle: on every transport at batch 1 and
+// 2, the codec reshape must equal the raw one with each off-rank element
+// passed through decompress(compress(x)); the self-block stays exact.
+void check_direct_stage(Comm& comm, const std::vector<Box3>& from,
+                        const std::vector<Box3>& to, const CodecPtr& codec,
+                        Xoshiro256& rng, const std::string& where) {
+  const auto roundtrip = [&](double x) {
+    std::array<std::byte, 16> b{};
+    codec->compress(std::span<const double>(&x, 1), b);
+    double y = 0.0;
+    codec->decompress(b, std::span<double>(&y, 1));
+    return y;
+  };
+  for (const auto& t : kDirectTransports) {
+    for (const int batch : {1, 2}) {
+      ReshapeOptions o;
+      o.backend = t.backend;
+      o.osc_sync = t.sync;
+      o.gpus_per_node = 2;
+      o.osc_chunks = 3;
+      o.batch = batch;
+      Reshape<std::complex<double>> raw(comm, from, to, o);
+      o.codec = codec;
+      Reshape<std::complex<double>> direct(comm, from, to, o);
+      const auto fb = static_cast<std::size_t>(batch);
+      const auto in_n = static_cast<std::size_t>(raw.inbox().count());
+      const auto out_n = static_cast<std::size_t>(raw.outbox().count());
+      std::vector<std::complex<double>> in(in_n * fb);
+      for (auto& v : in) v = {rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)};
+      std::vector<std::complex<double>> want(out_n * fb), got(out_n * fb);
+      raw.execute_batch(in, want, batch);
+      direct.execute_batch(in, got, batch);
+      const Box3& ob = raw.outbox();
+      const Box3 self = Box3::intersect(raw.inbox(), ob);
+      int bad = 0;
+      for (std::size_t i = 0; i < got.size() && bad < 5; ++i) {
+        const std::size_t k = i % out_n;
+        const int x = ob.lo[0] + static_cast<int>(k % ob.size[0]);
+        const int y = ob.lo[1] + static_cast<int>(k / ob.size[0] % ob.size[1]);
+        const int z = ob.lo[2] + static_cast<int>(k / ob.size[0] / ob.size[1]);
+        const std::complex<double> w =
+            self.contains(x, y, z)
+                ? want[i]
+                : std::complex<double>{roundtrip(want[i].real()),
+                                       roundtrip(want[i].imag())};
+        if (std::memcmp(&got[i], &w, sizeof(w)) != 0) {
+          ++bad;
+          ADD_FAILURE() << where << " " << t.name << " batch=" << batch
+                        << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(Reshape, DirectCodecEqualsRawReshapeThroughElementwiseCodec) {
+  // BitTrim and the casts code every double on its own, so a direct
+  // reshape (encode from `in` run by run, decode into `out`) must equal
+  // the raw reshape with each off-rank element passed through
+  // decompress(compress(x)) — an oracle independent of either path. The
+  // four reshapes of Fft3d's default pencil chain on 9x7x5 and 27x25x9
+  // cut odd runs on both sides, so codec groups straddle runs.
+  const std::vector<CodecPtr> codecs = {
+      std::make_shared<BitTrimCodec>(7), std::make_shared<BitTrimCodec>(19),
+      std::make_shared<CastFp32Codec>(), std::make_shared<CastFp16Codec>(),
+      std::make_shared<CastBf16Codec>()};
+  const std::array<int, 3> grids[] = {{9, 7, 5}, {27, 25, 9}};
+  run_ranks(4, [&](Comm& comm) {
+    Xoshiro256 rng(71 + static_cast<std::uint64_t>(comm.rank()));
+    for (const auto& n : grids) {
+      const std::vector<std::vector<Box3>> chain = {
+          split_brick(n, proc_grid3_for(4, n)),
+          split_pencil_for(n, 0, 4, {0, 0}), split_pencil_for(n, 1, 4, {0, 0}),
+          split_pencil_for(n, 2, 4, {0, 0}),
+          split_brick(n, proc_grid3_for(4, n))};
+      for (std::size_t stage = 0; stage + 1 < chain.size(); ++stage) {
+        for (const auto& codec : codecs) {
+          check_direct_stage(comm, chain[stage], chain[stage + 1], codec, rng,
+                             "n=" + std::to_string(n[0]) + " stage=" +
+                                 std::to_string(stage) + " " +
+                                 codec->name());
+        }
+      }
+    }
+  });
+}
+
+TEST(Reshape, DirectBitTrimReshapePinsNoStaging) {
+  // A BitTrim kOsc reshape neither packs nor unpacks, so it pins no send
+  // or receive staging: its footprint (window slots at the coded size
+  // plus the round slab) stays below the off-rank payload it would stage,
+  // send and receive together.
+  run_ranks(4, [](Comm& comm) {
+    const std::array<int, 3> n{16, 12, 10};
+    const auto bricks = split_brick(n, proc_grid3(4));
+    const auto pencils = split_pencil(n, 1, 4);
+    ReshapeOptions o;
+    o.backend = ExchangeBackend::kOsc;
+    o.gpus_per_node = 2;
+    o.codec = std::make_shared<BitTrimCodec>(19);
+    Reshape<std::complex<double>> rs(comm, bricks, pencils, o);
+    ASSERT_FALSE(rs.pack_elided());
+    const auto in = fill_box(rs.inbox());
+    std::vector<std::complex<double>> out(
+        static_cast<std::size_t>(rs.outbox().count()));
+    rs.execute(in, out);
+    const std::uint64_t self =
+        static_cast<std::uint64_t>(
+            Box3::intersect(rs.inbox(), rs.outbox()).count()) *
+        sizeof(std::complex<double>);
+    const std::uint64_t recv_payload =
+        static_cast<std::uint64_t>(rs.outbox().count()) *
+            sizeof(std::complex<double>) -
+        self;
+    const std::uint64_t send_payload = rs.stats().payload_bytes;
+    ASSERT_GT(send_payload, 0u);
+    EXPECT_LT(rs.footprint_bytes(), send_payload + recv_payload)
+        << "rank " << comm.rank();
+    expect_box(rs.outbox(), out, 1e-2);
+  });
+}
+
+TEST(Reshape, DirectCodecExecuteAllocatesNothingAfterWarmup) {
+  // The direct path on every transport allocates nothing after one warm
+  // execute, single-field or batched: encode and decode run over the
+  // caller's fields and the plan's pinned slabs only.
+  run_ranks(4, [](Comm& comm) {
+    const std::array<int, 3> n{9, 7, 5};
+    const auto bricks = split_brick(n, proc_grid3(4));
+    const auto pencils = split_pencil(n, 1, 4);
+    for (const auto& t : kDirectTransports) {
+      ReshapeOptions o;
+      o.backend = t.backend;
+      o.osc_sync = t.sync;
+      o.gpus_per_node = 2;
+      o.batch = 2;
+      o.codec = std::make_shared<BitTrimCodec>(19);
+      Reshape<std::complex<double>> rs(comm, bricks, pencils, o);
+      const auto in_n = static_cast<std::size_t>(rs.inbox().count());
+      const auto out_n = static_cast<std::size_t>(rs.outbox().count());
+      std::vector<std::complex<double>> in(2 * in_n, {1.0, -1.0});
+      std::vector<std::complex<double>> out(2 * out_n);
+      const std::span<const std::complex<double>> one(in.data(), in_n);
+      const std::span<std::complex<double>> one_out(out.data(), out_n);
+      rs.execute(one, one_out);
+      rs.execute_batch(in, out, 2);
+      comm.barrier();
+      t_allocs = 0;
+      t_count_allocs = true;
+      for (int it = 0; it < 2; ++it) {
+        rs.execute(one, one_out);
+        rs.execute_batch(in, out, 2);
+      }
+      t_count_allocs = false;
+      comm.barrier();
+      EXPECT_EQ(t_allocs, 0u) << t.name << " rank " << comm.rank();
     }
   });
 }

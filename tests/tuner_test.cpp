@@ -19,6 +19,7 @@
 #include "compress/lossless.hpp"
 #include "compress/szq.hpp"
 #include "compress/truncate.hpp"
+#include "compress/zfpx.hpp"
 #include "dfft/decomp.hpp"
 #include "dfft/fft3d.hpp"
 #include "dfft/reshape.hpp"
@@ -752,8 +753,38 @@ TEST(TunerDecomp, SelfBlocksPayOneCopyAndNoWire) {
   EXPECT_EQ(half.messages, 4u);
   EXPECT_DOUBLE_EQ(half.codec_seconds,
                    field / 2 / k.encode_bw + field / 2 / k.decode_bw);
-  // Packed send half + unpacked receive half + the kept half.
-  EXPECT_DOUBLE_EQ(half.copy_seconds, 1.5 * field / k.copy_bw);
+  // BitTrim is row-addressable: no pack, no unpack, only the kept half.
+  EXPECT_DOUBLE_EQ(half.copy_seconds, 0.5 * field / k.copy_bw);
+}
+
+TEST(TunerDecomp, RowAddressableCodecsPayOnlyTheSelfCopy) {
+  // The x -> y-pencil reshape of 64^3 on 4 ranks keeps half of each
+  // pencil and sends the other half. Raw and variable-rate wires pay the
+  // packed send half, the unpacked receive half and the kept half; a
+  // row-addressable codec (fp32, BitTrim, zfpx fixed-rate) pays the kept
+  // half alone.
+  const CostConstants k;
+  const double field = 64.0 * 64 * 64 / 4 * 16;
+  const auto copy_of = [&](CodecPtr codec) {
+    DecompSignature sig;
+    sig.n = {64, 64, 64};
+    sig.p = 4;
+    sig.gpn = 6;
+    sig.codec = std::move(codec);
+    return evaluate_decomp(
+               sig, DecompCandidate{DecompAlgorithm::kPencil, {2, 2}}, k)
+        .reshapes[1]
+        .copy_seconds;
+  };
+  EXPECT_DOUBLE_EQ(copy_of(nullptr), 1.5 * field / k.copy_bw);
+  EXPECT_DOUBLE_EQ(copy_of(std::make_shared<SzqCodec>(1e-6)),
+                   1.5 * field / k.copy_bw);
+  EXPECT_DOUBLE_EQ(copy_of(std::make_shared<CastFp16Codec>(true)),
+                   1.5 * field / k.copy_bw);
+  EXPECT_DOUBLE_EQ(copy_of(std::make_shared<CastFp32Codec>()),
+                   0.5 * field / k.copy_bw);
+  EXPECT_DOUBLE_EQ(copy_of(std::make_shared<Zfpx1dCodec>(16)),
+                   0.5 * field / k.copy_bw);
 }
 
 }  // namespace
